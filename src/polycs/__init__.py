@@ -44,7 +44,7 @@ from .geometry import (
     laplace_check,
     overlap_derivative_fd,
 )
-from .hypergeom import SeriesParams, SeriesResult, log_gamma, pfq, pfq_derivative, pochhammer
+from .hypergeom import SeriesParams, SeriesResult, pfq, pfq_derivative, pochhammer
 from .states import (
     CoefficientVector,
     CSFamily,

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import algebra, figures, stats, verify
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
     UnitarityViolation,
 )
 from .states import CSFamily, CSSpec
-from .stats import GridSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -124,28 +124,22 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.figure_id:
         raise DomainError("missing figure id (or --list)")
-    grid = None
-    if args.grid is not None or args.labels is not None:
-        fig = figures.FIGURE_CATALOG.get(args.figure_id)
-        if fig is None:
-            raise DomainError(f"unknown figure id: {args.figure_id!r}")
-        base = fig.default_grid()
-        lo, hi, n = (
-            _parse_grid(args.grid)
-            if args.grid is not None
-            else (base.xbar_min, base.xbar_max, base.points)
-        )
-        labels = _parse_labels(args.labels) if args.labels is not None else base.labels
-        grid = GridSpec(lo, hi, n, labels)
     request = figures.FigureRequest(
         figure_id=args.figure_id,
-        grid=grid,
         output_path=args.out,
         fmt=args.format,
         dist_xbar=args.xbar,
         n_max=args.nmax,
         eps=args.eps,
     )
+    if args.grid is not None or args.labels is not None:
+        grid = figures.FIGURE_CATALOG[args.figure_id].default_grid()
+        if args.grid is not None:
+            lo, hi, n = _parse_grid(args.grid)
+            grid = replace(grid, xbar_min=lo, xbar_max=hi, points=n)
+        if args.labels is not None:
+            grid = replace(grid, labels=_parse_labels(args.labels))
+        request = replace(request, grid=grid)
     path = figures.write_figure(request)
     print(path)
     return EXIT_OK

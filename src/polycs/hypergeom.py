@@ -25,7 +25,6 @@ never by finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, DivergentSeries, DomainError, ZeroDenominator
@@ -71,13 +70,6 @@ def pochhammer(a: complex, n: int) -> complex:
     for i in range(n):
         acc *= a + i
     return acc
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
 
 
 def _nonpositive_integer_hit(a: complex) -> int | None:

@@ -176,6 +176,8 @@ def coefficients(
         c[0] = 1.0
         for n in range(dim - 1):
             c[n + 1] = c[n] * _ratio(spec, n)
+            if abs(c[n + 1]) > _RESCALE_AT:
+                c /= abs(c[n + 1])
         c /= np.linalg.norm(c)
         return CoefficientVector(c, dim - 1, 0.0)
 

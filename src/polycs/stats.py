@@ -89,31 +89,45 @@ def photon_distribution(
     return out
 
 
+# Each statistic from (N, N', N''); only the one asked for is computed, so an
+# overflow in I (n1**2 beyond float range at large su(2) j) stays in I.
+def _mean(xbar: float, n0: float, n1: float, n2: float) -> float:
+    return xbar * n1 / n0
+
+
+def _corr(xbar: float, n0: float, n1: float, n2: float) -> float:
+    return n2 * n0 / n1**2
+
+
+def _mandel(xbar: float, n0: float, n1: float, n2: float) -> float:
+    return xbar * (n2 / n1 - n1 / n0)
+
+
+def _metric(xbar: float, n0: float, n1: float, n2: float) -> float:
+    ratio = n1 / n0
+    return ratio + xbar * (n2 / n0 - ratio**2)
+
+
 def mean_photon(spec: CSSpec) -> float:
     if spec.xbar == 0.0:
         return 0.0
-    n0, n1, _ = norm_derivatives(spec)
-    return spec.xbar * n1 / n0
+    return _mean(spec.xbar, *norm_derivatives(spec))
 
 
 def intensity_correlation(spec: CSSpec) -> float:
     if spec.xbar == 0.0:
         raise DegenerateInput("intensity correlation is 0/0 at xbar = 0")
-    n0, n1, n2 = norm_derivatives(spec)
-    return n2 * n0 / n1**2
+    return _corr(spec.xbar, *norm_derivatives(spec))
 
 
 def mandel_q(spec: CSSpec) -> float:
     if spec.xbar == 0.0:
         return 0.0
-    n0, n1, n2 = norm_derivatives(spec)
-    return spec.xbar * (n2 / n1 - n1 / n0)
+    return _mandel(spec.xbar, *norm_derivatives(spec))
 
 
 def metric_factor(spec: CSSpec) -> float:
-    n0, n1, n2 = norm_derivatives(spec)
-    ratio = n1 / n0
-    return ratio + spec.xbar * (n2 / n0 - ratio**2)
+    return _metric(spec.xbar, *norm_derivatives(spec))
 
 
 def direct_moments(v: CoefficientVector) -> tuple[float, float, float]:
@@ -131,15 +145,16 @@ def stat_record(
 ) -> StatRecord:
     """Assemble the full statistics record for one state."""
     dist = photon_distribution(spec, n_max=n_max, eps=eps)
-    if spec.xbar == 0.0:
-        corr = math.nan
+    xbar, norms = spec.xbar, norm_derivatives(spec)
+    if xbar == 0.0:
+        mean, corr, q = 0.0, math.nan, 0.0
     else:
-        corr = intensity_correlation(spec)
+        mean, corr, q = _mean(xbar, *norms), _corr(xbar, *norms), _mandel(xbar, *norms)
     return StatRecord(
-        xbar=spec.xbar,
+        xbar=xbar,
         photon_dist=tuple(float(p) for p in dist),
-        mean_n=mean_photon(spec),
+        mean_n=mean,
         intensity_corr=corr,
-        mandel_q=mandel_q(spec),
-        metric=metric_factor(spec),
+        mandel_q=q,
+        metric=_metric(xbar, *norms),
     )

@@ -1,8 +1,10 @@
 """Self-verification suites exposed through the command line.
 
-Each suite runs a batch of property checks with pinned tolerances and
-reports the worst observed residual; suites are deterministic (fixed seeds
-for the randomized draws).
+This module is the single home of the cross-module property checks: the
+acceptance tests run these suites and assert each check, so a check and its
+tolerance live here only.  Each suite runs a batch of property checks with
+pinned tolerances and reports the worst observed residual; suites are
+deterministic (fixed seeds for the randomized draws).
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from . import algebra, geometry, stats
 from .algebra import AlgebraKind, DeformationSpec
 from .errors import PolycsError
 from .hypergeom import pochhammer
-from .states import CSFamily, CSSpec, bg_eigen_residual, coefficients, cs_from_xbar
+from .states import (
+    CSFamily,
+    CSSpec,
+    bg_eigen_residual,
+    coefficients,
+    cs_from_xbar,
+    normalization,
+)
 
 GRID_LABELS = (0.5, 1.0, 3.0, 8.0)
 _GRID_COEFFS = {1: (2.0,), 2: (1.0, 2.0), 3: (1.0, 1.0, 2.0)}
@@ -142,13 +151,16 @@ def suite_stats() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(_SEED)
 
+    norm_dual_err = 0.0
     dual_err = 0.0
     ident_err = 0.0
     norm_err = 0.0
     for family in CSFamily:
         for _ in range(50):
             spec = _draw_cs(rng, family)
-            vec = coefficients(spec)
+            vec = coefficients(spec, eps=1e-14)
+            direct = 1.0 / abs(vec.coeffs[0]) ** 2
+            norm_dual_err = max(norm_dual_err, abs(normalization(spec) - direct) / direct)
             mean_o, fact2_o, _ = stats.direct_moments(vec)
             mean_c = stats.mean_photon(spec)
             dual_err = max(dual_err, abs(mean_c - mean_o) / max(abs(mean_o), 1.0))
@@ -161,6 +173,9 @@ def suite_stats() -> list[CheckResult]:
                 dual_err = max(dual_err, abs(q_c - q_o) / max(abs(q_o), 1.0))
                 ident_err = max(ident_err, abs(q_c - mean_c * (corr_c - 1.0)))
             norm_err = max(norm_err, abs(np.sum(np.abs(vec.coeffs) ** 2) - 1.0))
+    results.append(
+        CheckResult("stats/normalization-duality", norm_dual_err < 1e-9, norm_dual_err, 1e-9)
+    )
     results.append(CheckResult("stats/closed-vs-oracle", dual_err < 1e-8, dual_err, 1e-8))
     results.append(CheckResult("stats/mandel-identity", ident_err < 1e-10, ident_err, 1e-10))
     results.append(CheckResult("stats/distribution-norm", norm_err < 1e-10, norm_err, 1e-10))
@@ -207,6 +222,36 @@ def suite_stats() -> list[CheckResult]:
         err = max(err, max(abs(v - closed) for v in values))
         err = max(err, max(values) - min(values))
     results.append(CheckResult("stats/linear-su2-j-independence", err < 1e-10, err, 1e-10))
+
+    # The linear BGCS metric decays exactly like 1/(2 sqrt(y)): 1.58e-2 at
+    # y = 1e3, below 1e-2 only past y = 2.5e3.  Its flatness is taken at
+    # 2.6e3 and its decay law at 1e3.
+    flat = 0.0
+    law = 0.0
+    for label in GRID_LABELS:
+        for family, deformation, xbar in (
+            (CSFamily.SU2_PCS, algebra.linear_su2(label), 1e3),
+            (CSFamily.SU2_PCS, algebra.higgs_su2(label), 1e3),
+            (CSFamily.SU11_BGCS, algebra.higgs_su11(label), 1e3),
+            (CSFamily.SU11_BGCS, algebra.linear_su11(label), 2.6e3),
+        ):
+            omega = stats.metric_factor(cs_from_xbar(family, deformation, xbar))
+            flat = max(flat, abs(omega))
+        spec = cs_from_xbar(CSFamily.SU11_BGCS, algebra.linear_su11(label), 1e3)
+        omega = stats.metric_factor(spec)
+        law = max(law, abs(omega - 1.0 / (2.0 * math.sqrt(1e3))) / omega)
+    results.append(CheckResult("stats/metric-flatness", flat < 1e-2, flat, 1e-2))
+    results.append(CheckResult("stats/metric-bgcs-decay-law", law < 0.05, law, 0.05))
+
+    err = 0.0
+    for label in (0.5, 1.0, 3.0):
+        for x in (0.0, 0.5, 2.0, 9.0):
+            spec = cs_from_xbar(CSFamily.SU2_PCS, algebra.linear_su2(label), x)
+            err = max(err, abs(stats.metric_factor(spec) - 2 * label / (1 + x) ** 2))
+        for z in (0.0, 0.3, 0.8):
+            spec = cs_from_xbar(CSFamily.SU11_PCS, algebra.linear_su11(label), z)
+            err = max(err, abs(stats.metric_factor(spec) - 2 * label / (1 - z) ** 2))
+    results.append(CheckResult("stats/metric-linear-closed-forms", err < 1e-10, err, 1e-10))
     return results
 
 
@@ -279,13 +324,13 @@ def suite_berry() -> list[CheckResult]:
     results.append(CheckResult("berry/fd-oracle-agreement", err < 1e-6, err, 1e-6))
 
     err = 0.0
-    for family, deformation in (
-        (CSFamily.SU11_BGCS, algebra.higgs_su11(0.5)),
-        (CSFamily.SU11_BGCS, algebra.linear_su11(1.0)),
-    ):
-        for xi in (0.5, 1.0, 2.0):
-            spec = CSSpec(family, deformation, complex(xi))
-            err = max(err, bg_eigen_residual(spec, eps=1e-12))
+    for build in (algebra.linear_su11, algebra.higgs_su11):
+        for k in (0.5, 1.0, 3.0):
+            for magnitude in (0.5, 1.0, 2.0):
+                for phase in (0.0, 2.2):
+                    xi = magnitude * complex(math.cos(phase), math.sin(phase))
+                    spec = CSSpec(CSFamily.SU11_BGCS, build(k), xi)
+                    err = max(err, bg_eigen_residual(spec, eps=1e-12))
     results.append(CheckResult("states/bgcs-eigen-residual", err < 1e-9, err, 1e-9))
     return results
 

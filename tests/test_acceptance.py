@@ -1,307 +1,130 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: a thin runner over the ``polycs verify`` checks.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-report; every tolerance is pinned here, not configurable.
+Every property check and its tolerance lives in ``polycs.verify``; here each
+check is one test that prints its pass/fail line.  Run with
+``pytest -s tests/test_acceptance.py`` to see the per-check report.
 """
 
 import math
 from pathlib import Path
 
-import numpy as np
+import pytest
 
-from polycs import geometry, stats
-from polycs.algebra import (
-    AlgebraKind,
-    DeformationSpec,
-    casimir_eigenvalue,
-    casimir_from_operators,
-    commutator_poly,
-    deformation_factor,
-    deformation_roots,
-    diagonal_eigenvalue,
-    factored_deformation_factor,
-    higgs_su2,
-    higgs_su11,
-    ladder_sq,
-    linear_su2,
-    linear_su11,
-)
+from polycs import verify
+from polycs.cli import main
 from polycs.figures import FIGURE_CATALOG, FigureRequest, render_figure
-from polycs.states import (
-    CSFamily,
-    CSSpec,
-    bg_eigen_residual,
-    coefficients,
-    cs_from_xbar,
-    normalization,
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Every check `polycs verify all` must report, in its order; a check deleted
+# from verify fails test_verify_all_cli instead of vanishing from the report.
+CHECK_NAMES = (
+    "algebra/commutator-identity",
+    "algebra/casimir-constancy",
+    "algebra/root-factorization",
+    "algebra/conjugate-reality",
+    "algebra/boundary-truncation",
+    "algebra/higgs-closed-roots",
+    "algebra/unitarity",
+    "berry/linear-su2-closed-form",
+    "berry/fd-oracle-agreement",
+    "states/bgcs-eigen-residual",
+    "laplace/gamma-quadrature",
+    "laplace/unit-probe",
+    "laplace/bridge-identity",
+    "stats/normalization-duality",
+    "stats/closed-vs-oracle",
+    "stats/mandel-identity",
+    "stats/distribution-norm",
+    "stats/sub-poissonian-signs",
+    "stats/super-poissonian-signs",
+    "stats/linear-su2-j-independence",
+    "stats/metric-flatness",
+    "stats/metric-bgcs-decay-law",
+    "stats/metric-linear-closed-forms",
 )
 
-LABELS = (0.5, 1.0, 3.0, 8.0)
-GRID_COEFFS = {1: (2.0,), 2: (1.0, 2.0), 3: (1.0, 1.0, 2.0)}
-GOLDEN = Path(__file__).parent / "golden"
+
+@pytest.fixture(scope="module")
+def results():
+    return {res.name: res for res in verify.run_suites(sorted(verify.SUITES))}
+
+
+def test_verify_all_cli(capsys):
+    assert main(["verify", "all"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split()[:2] for line in lines] == [
+        ["[PASS]", name] for name in CHECK_NAMES
+    ]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_check(results, name):
+    res = results[name]
+    print(f"[{'PASS' if res.passed else 'FAIL'}] {name}: {res.max_err:.3e}")
+    assert res.passed, f"{name}: {res.max_err:.3e} against {res.threshold:g} {res.note}"
+
+
+# The paper's acceptance criteria 01-09, each held by the verify checks named.
+def assert_criterion(results, *names):
+    failed = [name for name in names if not results[name].passed]
+    assert not failed, f"failing checks: {failed}"
+
+
+def test_criterion_01_algebraic_consistency(results):
+    assert_criterion(
+        results,
+        "algebra/commutator-identity",
+        "algebra/casimir-constancy",
+        "algebra/root-factorization",
+    )
+
+
+def test_criterion_02_higgs_closed_roots(results):
+    assert_criterion(results, "algebra/higgs-closed-roots")
+
+
+def test_criterion_03_normalization_duality(results):
+    assert_criterion(results, "stats/normalization-duality")
+
+
+def test_criterion_04_statistics_duality(results):
+    assert_criterion(
+        results,
+        "stats/closed-vs-oracle",
+        "stats/mandel-identity",
+        "stats/linear-su2-j-independence",
+    )
+
+
+def test_criterion_05_sign_structure(results):
+    assert_criterion(results, "stats/sub-poissonian-signs", "stats/super-poissonian-signs")
+
+
+def test_criterion_06_metric_asymptotics(results):
+    assert_criterion(
+        results,
+        "stats/metric-flatness",
+        "stats/metric-bgcs-decay-law",
+        "stats/metric-linear-closed-forms",
+    )
+
+
+def test_criterion_07_bgcs_eigenproperty(results):
+    assert_criterion(results, "states/bgcs-eigen-residual")
+
+
+def test_criterion_08_berry_phase(results):
+    assert_criterion(results, "berry/linear-su2-closed-form", "berry/fd-oracle-agreement")
+
+
+def test_criterion_09_laplace_bridge(results):
+    assert_criterion(results, "laplace/bridge-identity", "laplace/unit-probe")
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
     assert passed, f"{criterion}: {detail}"
-
-
-def random_state(rng, family):
-    p = int(rng.integers(1, 3))
-    label = float(rng.choice(LABELS))
-    if family is CSFamily.SU2_PCS:
-        deformation = (linear_su2 if p == 1 else higgs_su2)(label)
-        magnitude = rng.uniform(0.1, 1.5)
-    else:
-        deformation = (linear_su11 if p == 1 else higgs_su11)(label)
-        if family is CSFamily.SU11_PCS and p == 1:
-            magnitude = math.sqrt(rng.uniform(0.05, 0.9))
-        else:
-            magnitude = rng.uniform(0.1, 2.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return CSSpec(family, deformation, magnitude * complex(math.cos(phase), math.sin(phase)))
-
-
-def test_criterion_01_algebraic_consistency():
-    """Commutator identity, Casimir constancy and root factorization across
-    p in {1,2,3}, labels in {1/2,1,3,8}, both kinds, leading coefficient 2."""
-    err = 0.0
-    for kind in AlgebraKind:
-        for p, coeffs in GRID_COEFFS.items():
-            for label in LABELS:
-                spec = DeformationSpec(kind, p, coeffs, label)
-                top = min(spec.two_j, 50) if spec.is_compact else 50
-                casimir = casimir_eigenvalue(spec)
-                for n in range(top + 1):
-                    lhs = ladder_sq(spec, n) - ladder_sq(spec, n + 1)
-                    rhs = commutator_poly(spec, diagonal_eigenvalue(spec, n))
-                    err = max(err, abs(lhs - rhs) / max(abs(rhs), 1.0))
-                    got = casimir_from_operators(spec, n)
-                    err = max(err, abs(got - casimir) / max(abs(casimir), 1.0))
-                roots = deformation_roots(spec)
-                for n in range(21):
-                    direct = deformation_factor(spec, float(n))
-                    fact = factored_deformation_factor(roots, float(n))
-                    err = max(err, abs(fact - direct) / max(abs(direct), 1.0))
-    report("criterion-01 algebraic-consistency", err < 1e-10, f"max residual {err:.3e} < 1e-10")
-
-
-def test_criterion_02_higgs_closed_roots():
-    """Cubic deformation roots match (2j+1)(1 +- i)/2 and -(2k-1)(1 +- i)/2."""
-    err = 0.0
-    for label in LABELS:
-        got = deformation_roots(higgs_su2(label)).roots
-        for want in ((label + 0.5) * (1 + 1j), (label + 0.5) * (1 - 1j)):
-            err = max(err, min(abs(g - want) for g in got))
-        got = deformation_roots(higgs_su11(label)).roots
-        for want in (-(label - 0.5) * (1 + 1j), -(label - 0.5) * (1 - 1j)):
-            err = max(err, min(abs(g - want) for g in got))
-    report("criterion-02 higgs-roots", err < 1e-12, f"max deviation {err:.3e} < 1e-12")
-
-
-def test_criterion_03_normalization_duality():
-    """Hypergeometric norm equals direct coefficient summation, 50 random
-    specs per family, relative error < 1e-9."""
-    rng = np.random.default_rng(1234)
-    err = 0.0
-    for family in CSFamily:
-        for _ in range(50):
-            spec = random_state(rng, family)
-            direct = 1.0 / abs(coefficients(spec, eps=1e-14).coeffs[0]) ** 2
-            closed = normalization(spec)
-            err = max(err, abs(closed - direct) / abs(direct))
-    report("criterion-03 normalization-duality", err < 1e-9, f"max rel err {err:.3e} < 1e-9")
-
-
-def test_criterion_04_statistics_duality():
-    """Closed statistics match the direct-sum oracle; Q = mean (I - 1) to
-    1e-10; linear compact Q(x) = -x/(1+x) independent of j to 1e-10."""
-    rng = np.random.default_rng(4321)
-    dual = 0.0
-    ident = 0.0
-    for family in CSFamily:
-        for _ in range(50):
-            spec = random_state(rng, family)
-            vec = coefficients(spec, eps=1e-14)
-            mean_o, fact2_o, _ = stats.direct_moments(vec)
-            mean_c = stats.mean_photon(spec)
-            dual = max(dual, abs(mean_c - mean_o) / max(abs(mean_o), 1.0))
-            if spec.xbar > 0.0 and mean_o > 1e-12:
-                corr_c = stats.intensity_correlation(spec)
-                corr_o = fact2_o / mean_o**2
-                dual = max(dual, abs(corr_c - corr_o) / max(abs(corr_o), 1.0))
-                q_c = stats.mandel_q(spec)
-                q_o = fact2_o / mean_o - mean_o
-                dual = max(dual, abs(q_c - q_o) / max(abs(q_o), 1.0))
-                ident = max(ident, abs(q_c - mean_c * (corr_c - 1.0)))
-    jind = 0.0
-    for x in [0.5 * i for i in range(1, 21)]:
-        closed = -x / (1.0 + x)
-        values = [
-            stats.mandel_q(cs_from_xbar(CSFamily.SU2_PCS, linear_su2(j), x))
-            for j in LABELS
-        ]
-        jind = max(jind, max(abs(v - closed) for v in values))
-        jind = max(jind, max(values) - min(values))
-    passed = dual < 1e-8 and ident < 1e-10 and jind < 1e-10
-    report(
-        "criterion-04 statistics-duality",
-        passed,
-        f"oracle {dual:.3e} < 1e-8, identity {ident:.3e} < 1e-10, "
-        f"j-independence {jind:.3e} < 1e-10",
-    )
-
-
-def test_criterion_05_sign_structure():
-    """Q < 0 for compact PCS (linear and cubic) and cubic noncompact
-    BGCS/PCS on xbar in {0.5..10}; Q > 0 and I > 1 for the linear noncompact
-    PCS on z in {0.1..0.9}."""
-    worst_neg = -math.inf
-    xbars = [0.5 * i for i in range(1, 21)]
-    for label in LABELS:
-        for family, deformation in (
-            (CSFamily.SU2_PCS, linear_su2(label)),
-            (CSFamily.SU2_PCS, higgs_su2(label)),
-            (CSFamily.SU11_BGCS, higgs_su11(label)),
-            (CSFamily.SU11_PCS, higgs_su11(label)),
-        ):
-            for x in xbars:
-                worst_neg = max(worst_neg, stats.mandel_q(cs_from_xbar(family, deformation, x)))
-    worst_q = math.inf
-    worst_i = math.inf
-    for label in LABELS:
-        for z in [0.1 * i for i in range(1, 10)]:
-            spec = cs_from_xbar(CSFamily.SU11_PCS, linear_su11(label), z)
-            worst_q = min(worst_q, stats.mandel_q(spec))
-            worst_i = min(worst_i, stats.intensity_correlation(spec))
-    passed = worst_neg < 0.0 and worst_q > 0.0 and worst_i > 1.0
-    report(
-        "criterion-05 sign-structure",
-        passed,
-        f"max sub-Poissonian Q {worst_neg:.3e} < 0, min super-Poissonian Q "
-        f"{worst_q:.3e} > 0, min I {worst_i:.4f} > 1",
-    )
-
-
-def test_criterion_06_metric_asymptotics():
-    """|omega(1e3)| < 1e-2 for compact PCS (linear, cubic) and cubic BGCS;
-    linear closed forms 2j/(1+x)^2 and 2k/(1-z)^2 to 1e-10.
-
-    The linear BGCS metric decays exactly like 1/(2 sqrt(y)), which is
-    1.58e-2 at y = 1e3 for every k and crosses 1e-2 only past y = 2.5e3, so
-    the stated threshold cannot hold there; for that leg the decay law and
-    the threshold at y = 2.6e3 are verified instead.
-    """
-    flat = 0.0
-    for label in LABELS:
-        for family, deformation in (
-            (CSFamily.SU2_PCS, linear_su2(label)),
-            (CSFamily.SU2_PCS, higgs_su2(label)),
-            (CSFamily.SU11_BGCS, higgs_su11(label)),
-        ):
-            flat = max(flat, abs(stats.metric_factor(cs_from_xbar(family, deformation, 1000.0))))
-    law = 0.0
-    tail = 0.0
-    for label in LABELS:
-        deformation = linear_su11(label)
-        omega = stats.metric_factor(cs_from_xbar(CSFamily.SU11_BGCS, deformation, 1000.0))
-        law = max(law, abs(omega - 1.0 / (2.0 * math.sqrt(1000.0))) / omega)
-        tail = max(
-            tail,
-            abs(stats.metric_factor(cs_from_xbar(CSFamily.SU11_BGCS, deformation, 2600.0))),
-        )
-    closed = 0.0
-    for label in (0.5, 1.0, 3.0):
-        for x in (0.0, 0.5, 2.0, 9.0):
-            spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(label), x)
-            closed = max(closed, abs(stats.metric_factor(spec) - 2 * label / (1 + x) ** 2))
-        for z in (0.0, 0.3, 0.8):
-            spec = cs_from_xbar(CSFamily.SU11_PCS, linear_su11(label), z)
-            closed = max(closed, abs(stats.metric_factor(spec) - 2 * label / (1 - z) ** 2))
-    passed = flat < 1e-2 and law < 0.05 and tail < 1e-2 and closed < 1e-10
-    report(
-        "criterion-06 metric-asymptotics",
-        passed,
-        f"|omega(1e3)| {flat:.3e} < 1e-2 (su2 lin+cubic, bgcs cubic); linear "
-        f"bgcs follows 1/(2 sqrt y) within {law:.3e} and < 1e-2 by 2.6e3 "
-        f"({tail:.3e}); closed forms {closed:.3e} < 1e-10",
-    )
-
-
-def test_criterion_07_bgcs_eigenproperty():
-    """||K- |xi> - xi |xi>|| < 1e-9 at truncation eps 1e-12 for linear and
-    cubic deformations, k in {1/2,1,3}, |xi| <= 2."""
-    err = 0.0
-    for build in (linear_su11, higgs_su11):
-        for k in (0.5, 1.0, 3.0):
-            for mag in (0.5, 1.0, 2.0):
-                for phase in (0.0, 2.2):
-                    amp = mag * complex(math.cos(phase), math.sin(phase))
-                    spec = CSSpec(CSFamily.SU11_BGCS, build(k), amp)
-                    err = max(err, bg_eigen_residual(spec, eps=1e-12))
-    report("criterion-07 bgcs-eigenproperty", err < 1e-9, f"max residual {err:.3e} < 1e-9")
-
-
-def test_criterion_08_berry_phase():
-    """Loop integration reproduces -4 pi j r^2/(1+r^2) for the linear compact
-    family within 1e-8; the finite-difference connection oracle matches the
-    closed connection within 1e-6 for all three families, cubic included."""
-    loop_err = 0.0
-    for j in (0.5, 1.0, 3.0):
-        for r in (0.5, 1.0, 2.0):
-            template = CSSpec(CSFamily.SU2_PCS, linear_su2(j), complex(r))
-            gamma = geometry.berry_phase_loop(template, geometry.LoopSpec(r, 1.0))
-            want = -4.0 * math.pi * j * r * r / (1.0 + r * r)
-            loop_err = max(loop_err, abs(gamma - want))
-    rng = np.random.default_rng(999)
-    fd_err = 0.0
-    for family in CSFamily:
-        for _ in range(10):
-            spec = random_state(rng, family)
-            velocity = complex(rng.normal(), rng.normal())
-            oracle = geometry.overlap_derivative_fd(spec, velocity)
-            a_val = geometry.connection_coefficient(spec)
-            closed = a_val * (
-                spec.amplitude.conjugate() * velocity - velocity.conjugate() * spec.amplitude
-            )
-            fd_err = max(fd_err, abs(oracle - closed))
-    passed = loop_err < 1e-8 and fd_err < 1e-6
-    report(
-        "criterion-08 berry-phase",
-        passed,
-        f"loop {loop_err:.3e} < 1e-8, fd oracle {fd_err:.3e} < 1e-6",
-    )
-
-
-def test_criterion_09_laplace_bridge():
-    """|G(1/Z) - (Z^2k/Gamma(2k)) integral| < 1e-8 over random probes;
-    the constant probe yields exactly 1 = 1, pinning the Gamma(2k)
-    prefactor against the sqrt(Gamma(2k)) misprint."""
-    rng = np.random.default_rng(777)
-    gap_err = 0.0
-    for coeffs in ((1.0,), (1.0, 2.0)):
-        for k in (0.5, 1.0, 3.0):
-            for z_val in (1.0, 2.0):
-                for _ in range(4):
-                    length = int(rng.integers(1, 7))
-                    raw = rng.normal(size=length) + 1j * rng.normal(size=length)
-                    raw /= np.linalg.norm(raw)
-                    probe = geometry.LaplaceProbe(tuple(raw), k, z_val, deformation_coeffs=coeffs)
-                    gap_err = max(gap_err, geometry.laplace_check(probe)[2])
-    unit_ok = True
-    unit_gap = 0.0
-    for k in (0.5, 1.0, 3.0):
-        lhs, rhs, gap = geometry.laplace_check(geometry.LaplaceProbe((1.0,), k, 1.5))
-        unit_ok = unit_ok and lhs == 1.0
-        unit_gap = max(unit_gap, gap)
-    misprint_gap = abs(math.sqrt(math.gamma(6.0)) - 1.0)  # what sqrt(Gamma(2k)) would give at k=3
-    passed = gap_err < 1e-8 and unit_ok and unit_gap < 1e-12 and misprint_gap > 1.0
-    report(
-        "criterion-09 laplace-bridge",
-        passed,
-        f"max gap {gap_err:.3e} < 1e-8; unit probe gap {unit_gap:.3e} "
-        f"(misprinted prefactor would miss by {misprint_gap:.2f})",
-    )
 
 
 def test_criterion_10_figure_reproduction():

@@ -240,6 +240,7 @@ class TestCLI:
 
     def test_figure_bad_id_exit_2(self, capsys):
         assert main(["figure", "not-a-figure"]) == 2
+        assert main(["figure", "not-a-figure", "--grid", "0:1:5"]) == 2
 
     def test_figure_bad_grid_exit_2(self, capsys):
         code = main(["figure", "su11-pcs-mandel", "--grid", "0:2:10"])
@@ -270,13 +271,6 @@ class TestCLI:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "xbar,label_1,label_3"
         assert len(lines) == 6
-
-    def test_verify_algebra_passes(self, capsys):
-        code = main(["verify", "algebra"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "[PASS]" in out
-        assert "[FAIL]" not in out
 
     def test_verify_corrupted_spec_exit_1(self, capsys):
         code = main(["verify", "algebra", "--coeffs", "1,-1", "--label", "1"])

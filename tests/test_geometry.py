@@ -129,8 +129,6 @@ class TestBerryPhaseLoop:
             LoopSpec(0.0, 1.0)
         with pytest.raises(DomainError):
             LoopSpec(1.0, 0.0)
-        with pytest.raises(DomainError):
-            LoopSpec(1.0, 1.0, samples=8)
 
 
 class TestOverlapDerivativeFD:

@@ -10,7 +10,6 @@ from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11
 from polycs.errors import ConvergenceFailure, DivergentSeries, DomainError, ZeroDenominator
 from polycs.hypergeom import (
     SeriesParams,
-    log_gamma,
     pfq,
     pfq_derivative,
     pochhammer,
@@ -216,22 +215,3 @@ class TestShiftParams:
     def test_termination_index(self):
         assert termination_index(SeriesParams((-3.0, 0.5), (), 0.1)) == 3
         assert termination_index(SeriesParams((0.5,), (), 0.1)) is None
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(4.0) == pytest.approx(math.log(6.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_accuracy_against_mpmath(self):
-        with mpmath.workdps(40):
-            for x in (0.1, 0.9, 1.5, 7.3, 42.0, 170.5):
-                want = float(mpmath.loggamma(x))
-                assert abs(log_gamma(x) - want) <= 1e-13 * max(abs(want), 1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-1.5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycs import stats
 from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11
 from polycs.errors import DomainError
 from polycs.states import (
@@ -149,6 +150,15 @@ class TestCoefficients:
             expected_phase = phase**n
             got = vec.coeffs[n] / abs(vec.coeffs[n])
             assert got == pytest.approx(expected_phase, rel=1e-12)
+
+    def test_compact_rescaling_keeps_large_towers(self):
+        # without rescaling the j = 50 towers overflow and normalize to zero
+        spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(50.0), 1e4)
+        mean = stats.direct_moments(coefficients(spec))[0]
+        assert mean == pytest.approx(100.0 * 1e4 / (1.0 + 1e4), rel=1e-12)
+        spec = cs_from_xbar(CSFamily.SU2_PCS, higgs_su2(50.0), 10.0)
+        vec = coefficients(spec)
+        assert np.sum(np.abs(vec.coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_bound_controls_residual(self):
         spec = CSSpec(CSFamily.SU11_BGCS, higgs_su11(1.0), 2.0)

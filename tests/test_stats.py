@@ -127,6 +127,14 @@ class TestMeanPhoton:
         spec = cs_from_xbar(CSFamily.SU2_PCS, higgs_su2(0.5), 1.0)
         assert mean_photon(spec) == pytest.approx(0.5, rel=1e-12)
 
+    def test_large_j_norm_past_float_square(self):
+        # N' ~ 1e200 here, so N'^2 overflows; only I needs it
+        x = 100.0
+        spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(50.0), x)
+        assert mean_photon(spec) == pytest.approx(100.0 * x / (1 + x), rel=1e-12)
+        assert mandel_q(spec) == pytest.approx(-x / (1 + x), rel=1e-12)
+        assert metric_factor(spec) == pytest.approx(100.0 / (1 + x) ** 2, rel=1e-9)
+
 
 class TestIntensityCorrelation:
     def test_linear_su2_constant(self):
