@@ -38,6 +38,9 @@ NEGATIVE_TOL = 1e-12
 
 _HALF_INT_TOL = 1e-9
 
+# Largest normwise backward error accepted for a computed deformation root.
+ROOT_TOL = 1e-12
+
 
 class AlgebraKind(enum.Enum):
     """Compact (finite-dimensional) vs noncompact (infinite) deformation."""
@@ -169,9 +172,7 @@ def ladder_sq(spec: DeformationSpec, n: int) -> float:
     if value < 0.0:
         if value >= -NEGATIVE_TOL:
             return 0.0
-        raise UnitarityViolation(
-            f"squared ladder element is negative at n={n}: {value}"
-        )
+        raise UnitarityViolation(n, value)
     return value
 
 
@@ -230,48 +231,13 @@ def deformation_poly_coeffs(spec: DeformationSpec) -> np.ndarray:
     return out
 
 
-def _aberth_roots(
-    coeffs: np.ndarray, tol: float = 1e-13, max_iter: int = 500
-) -> np.ndarray:
-    """All roots of a polynomial given ascending coefficients, by the
-    simultaneous Aberth-Ehrlich iteration."""
-    c = np.asarray(coeffs, dtype=complex)
-    deg = c.size - 1
-    deriv = c[1:] * np.arange(1, deg + 1)
-
-    def poly_val(z: np.ndarray) -> np.ndarray:
-        return npoly.polyval(z, c)
-
-    # Cauchy bound, initial guesses on a circle with an asymmetry offset.
-    radius = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
-    angles = 2.0 * np.pi * np.arange(deg) / deg + np.pi / (2.0 * deg)
-    z = radius * np.exp(1j * angles)
-
-    scale = np.sum(np.abs(c))
-    for _ in range(max_iter):
-        pv = poly_val(z)
-        dv = npoly.polyval(z, deriv)
-        newton = pv / dv
-        pairwise = z[:, None] - z[None, :]
-        np.fill_diagonal(pairwise, np.inf)
-        repulsion = np.sum(1.0 / pairwise, axis=1)
-        z = z - newton / (1.0 - newton * repulsion)
-        if np.max(np.abs(poly_val(z))) < tol * scale:
-            break
-    residual = np.max(np.abs(poly_val(z)))
-    if residual > 1e-12 * scale:
-        raise RootSolveFailure(
-            f"root iteration stalled at residual {residual:.3e} (scale {scale:.3e})"
-        )
-    return z
-
-
 def deformation_roots(spec: DeformationSpec) -> RootSet:
     """Roots of the deformation factor as a polynomial in the tower index.
 
     p = 1 has no roots; p = 2 uses the closed quadratic formula; higher p
-    falls back to the simultaneous all-roots iteration.  Roots are returned
-    sorted by (real, imag) for reproducibility.
+    takes numpy's polyroots, and each root z must keep the normwise backward
+    error |q(z)| / sum_i |c_i| |z|^i within ROOT_TOL, else RootSolveFailure.
+    Roots are returned sorted by (real, imag) for reproducibility.
     """
     leading = spec.coeffs[-1]
     if spec.p == 1:
@@ -291,7 +257,18 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
             pair = (-0.5 * (lin + root), -0.5 * (lin - root))
         roots = sorted(pair, key=lambda w: (w.real, w.imag))
         return RootSet(leading=leading, roots=tuple(roots))
-    raw = _aberth_roots(deformation_poly_coeffs(spec))
+    try:
+        coeffs = deformation_poly_coeffs(spec)
+    except OverflowError:
+        coeffs = np.array([np.inf])
+    if not np.all(np.isfinite(coeffs)):
+        raise RootSolveFailure(f"factor coefficients overflow at label {spec.rep_label:g}")
+    raw = npoly.polyroots(coeffs)
+    # An exact zero root of a factor with c_0 = 0 gives 0/0; its error is 0.
+    scale = npoly.polyval(np.abs(raw), np.abs(coeffs))
+    worst = np.max(np.abs(npoly.polyval(raw, coeffs)) / np.where(scale == 0.0, 1.0, scale))
+    if not worst <= ROOT_TOL:
+        raise RootSolveFailure(f"root backward error {worst:.3e} exceeds {ROOT_TOL:g}")
     roots = sorted((complex(w) for w in raw), key=lambda w: (w.real, w.imag))
     return RootSet(leading=leading, roots=tuple(roots))
 

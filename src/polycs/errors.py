@@ -7,11 +7,16 @@ class PolycsError(Exception):
 
 class UnitarityViolation(PolycsError):
     """A squared ladder matrix element came out negative: the deformation
-    parameters do not admit a unitary representation at this label."""
+    parameters do not admit a unitary representation at this label.  value
+    holds the offending element."""
+
+    def __init__(self, n: int, value: float) -> None:
+        super().__init__(f"squared ladder element is negative at n={n}: {value}")
+        self.value = value
 
 
 class RootSolveFailure(PolycsError):
-    """The simultaneous root iteration did not reach the residual target."""
+    """The deformation roots miss their backward-error target or overflow."""
 
 
 class DivergentSeries(PolycsError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra, geometry, stats
 from .algebra import AlgebraKind, DeformationSpec
-from .errors import PolycsError
+from .errors import UnitarityViolation
 from .hypergeom import pochhammer
 from .states import (
     CSFamily,
@@ -135,14 +135,16 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
 
     check_specs = specs + list(extra_specs or [])
     failure = ""
+    err = 0.0
     for spec in check_specs:
         try:
             algebra.validate_unitarity(spec, n_cap=200)
-        except PolycsError as exc:
+        except UnitarityViolation as exc:
             failure = f"{type(exc).__name__}: {exc}"
+            err = -exc.value
             break
     results.append(
-        CheckResult("algebra/unitarity", failure == "", 0.0, 0.0, note=failure)
+        CheckResult("algebra/unitarity", failure == "", err, 0.0, note=failure)
     )
     return results
 

@@ -23,18 +23,19 @@ from polycs.algebra import (
     su11_spec,
     validate_unitarity,
 )
-from polycs.errors import DomainError, UnitarityViolation
+from polycs.errors import DomainError, RootSolveFailure, UnitarityViolation
 from polycs.hypergeom import pochhammer
 
 GRID_LABELS = (0.5, 1.0, 3.0, 8.0)
 GRID_COEFFS = {1: (2.0,), 2: (1.0, 2.0), 3: (1.0, 1.0, 2.0)}
+P4_COEFFS = {4: (1.0, 1.0, 1.0, 2.0)}  # root tests only
 
 
-def grid_specs():
+def grid_specs(grid_coeffs=GRID_COEFFS):
     return [
         DeformationSpec(kind, p, coeffs, label)
         for kind in AlgebraKind
-        for p, coeffs in GRID_COEFFS.items()
+        for p, coeffs in grid_coeffs.items()
         for label in GRID_LABELS
     ]
 
@@ -188,7 +189,17 @@ class TestDeformationRoots:
         assert rs.roots == ()
         assert rs.leading == 1.0
 
-    @pytest.mark.parametrize("spec", grid_specs())
+    # Repeated roots: at k = 1 the factors are (n^2 + n + 1)^3 and
+    # 2 (n^2 + n + 1/2)^2; at k = 1/2, (1, 8, 16) has c_0 = 1 - 4 + 3 = 0 and a
+    # double root at n = 0, whose backward error is 0/0.  At k = 1e60 the roots
+    # lie near 1e60 and the coefficients near 1e240.
+    @pytest.mark.parametrize(
+        "spec",
+        grid_specs()
+        + grid_specs(P4_COEFFS)
+        + [su11_spec((1, 3, 3, 1), 1), su11_spec((0.5, 2, 2), 1)]
+        + [su11_spec((1, 8, 16), 0.5), su11_spec((1, 1, 2), 1e60)],
+    )
     def test_factorization_matches_direct(self, spec):
         rs = deformation_roots(spec)
         for n in range(21):
@@ -197,7 +208,7 @@ class TestDeformationRoots:
             assert abs(fact - direct) <= 1e-10 * max(abs(direct), 1.0)
 
     def test_conjugate_pairing(self):
-        for spec in grid_specs():
+        for spec in grid_specs() + grid_specs(P4_COEFFS):
             roots = list(deformation_roots(spec).roots)
             for r in roots:
                 if abs(r.imag) > 1e-10:
@@ -222,6 +233,19 @@ class TestDeformationRoots:
         for r in rs.roots:
             residual = abs(np.polynomial.polynomial.polyval(r, coeffs))
             assert residual < 1e-10 * np.sum(np.abs(coeffs))
+
+    def test_non_finite_roots_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            algebra.npoly, "polyroots", lambda c: np.full(c.size - 1, np.nan)
+        )
+        with pytest.raises(RootSolveFailure):
+            deformation_roots(su11_spec((1.0, 1.0, 2.0), 3.0))
+
+    def test_coefficient_overflow_is_typed(self):
+        # k(k - 1) squared raises OverflowError at k = 1e100; k(k - 1) is inf at 1e155
+        for k in (1e100, 1e155):
+            with pytest.raises(RootSolveFailure):
+                deformation_roots(su11_spec((1.0, 1.0, 2.0), k))
 
 
 class TestValidateUnitarity:

@@ -277,6 +277,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "UnitarityViolation" in out
+        # the reported error is the size of the negative element psi_1 = -2
+        assert "[FAIL] algebra/unitarity max_err=2.000e+00 (tol 0)" in out
 
     def test_bad_flags_exit_2(self, capsys):
         assert main(["stats", "--family", "nope", "--label", "1"]) == 2

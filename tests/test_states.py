@@ -19,6 +19,7 @@ from polycs.states import (
     cs_from_xbar,
     normalization,
 )
+from polycs.verify import _draw_cs
 
 LABELS = (0.5, 1.0, 3.0, 8.0)
 
@@ -27,23 +28,6 @@ def basis_vector(n, size):
     arr = np.zeros(size, dtype=complex)
     arr[n] = 1.0
     return CoefficientVector(arr, size - 1, 0.0)
-
-
-def random_cs(rng, family):
-    p = int(rng.integers(1, 3))
-    label = float(rng.choice(LABELS))
-    coeffs = (1.0,) if p == 1 else (1.0, 2.0)
-    if family is CSFamily.SU2_PCS:
-        deformation = (linear_su2 if p == 1 else higgs_su2)(label)
-        magnitude = rng.uniform(0.1, 1.5)
-    else:
-        deformation = (linear_su11 if p == 1 else higgs_su11)(label)
-        if family is CSFamily.SU11_PCS and p == 1:
-            magnitude = math.sqrt(rng.uniform(0.05, 0.9))
-        else:
-            magnitude = rng.uniform(0.1, 2.0)
-    phase = rng.uniform(0, 2 * math.pi)
-    return CSSpec(family, deformation, magnitude * complex(math.cos(phase), math.sin(phase)))
 
 
 class TestCSSpec:
@@ -95,7 +79,7 @@ class TestNormalization:
         rng = np.random.default_rng(7)
         for family in CSFamily:
             for _ in range(10):
-                spec = random_cs(rng, family)
+                spec = _draw_cs(rng, family)
                 direct = 1.0 / abs(coefficients(spec, eps=1e-14).coeffs[0]) ** 2
                 closed = normalization(spec)
                 assert closed == pytest.approx(direct, rel=1e-9)
@@ -139,7 +123,7 @@ class TestCoefficients:
         rng = np.random.default_rng(11)
         for family in CSFamily:
             for _ in range(5):
-                vec = coefficients(random_cs(rng, family))
+                vec = coefficients(_draw_cs(rng, family))
                 assert np.sum(np.abs(vec.coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_carried_exactly(self):
@@ -241,7 +225,7 @@ class TestBGEigenResidual:
     def test_bounded_by_tail(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            spec = random_cs(rng, CSFamily.SU11_BGCS)
+            spec = _draw_cs(rng, CSFamily.SU11_BGCS)
             vec = coefficients(spec, eps=1e-12)
             residual = bg_eigen_residual(spec, eps=1e-12)
             assert residual <= 10.0 * vec.tail_bound * (1.0 + abs(spec.amplitude))
