@@ -3,6 +3,9 @@
 
 Usage:
     python scripts/make_figures.py [--outdir figures] [--format csv|jsonl]
+
+All figures render in this one process, so the four curve figures of each
+family and deformation share one evaluation of (N, N', N'') per state.
 """
 
 import argparse

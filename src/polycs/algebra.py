@@ -227,7 +227,8 @@ def deformation_poly_coeffs(spec: DeformationSpec) -> np.ndarray:
         for r in range(s, spec.p + 1):
             weight += spec.coeffs[r - 1] * a ** (r - s)
         out[: q_pow.size] += weight * q_pow
-        q_pow = npoly.polymul(q_pow, base)
+        if s < spec.p:
+            q_pow = npoly.polymul(q_pow, base)
     return out
 
 
@@ -258,7 +259,9 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
         roots = sorted(pair, key=lambda w: (w.real, w.imag))
         return RootSet(leading=leading, roots=tuple(roots))
     try:
-        coeffs = deformation_poly_coeffs(spec)
+        # overflow here is reported as RootSolveFailure below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = deformation_poly_coeffs(spec)
     except OverflowError:
         coeffs = np.array([np.inf])
     if not np.all(np.isfinite(coeffs)):

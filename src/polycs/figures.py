@@ -10,10 +10,15 @@ label (default 1/2, 1, 3, 8); distribution figures tabulate P(n) at a fixed
 xbar (default 1).  Output is CSV (17 significant digits, LF line endings) or
 JSON lines; identical requests produce identical bytes, and files are
 written atomically.
+
+The four curve quantities all derive from the squared norm N and its xbar
+derivatives, so one (family, deformation, grid) table of (N, N', N'') per
+state is computed once per process and shared by the four curve figures.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import algebra, stats
-from .errors import DegenerateInput, DomainError
+from .errors import DomainError
 from .states import CSFamily, cs_from_xbar
 from .stats import GridSpec
 
@@ -32,6 +37,8 @@ LINEAR_COEFFS = (1.0,)
 DEFAULT_POINTS = 200
 DEFAULT_DIST_XBAR = 1.0
 DEFAULT_DIST_NMAX_SU11 = 40
+# Norm tables kept per process: every family x linear/Higgs pair at one grid.
+_NORM_TABLE_CACHE = 6
 
 _FAMILY_TOKENS = {
     "su2": CSFamily.SU2_PCS,
@@ -68,10 +75,13 @@ class FigureDef:
             return 0.5
         return DEFAULT_DIST_XBAR
 
-    def deformation(self, label: float) -> algebra.DeformationSpec:
-        if self.family is CSFamily.SU2_PCS:
-            return algebra.su2_spec(self.coeffs, label)
-        return algebra.su11_spec(self.coeffs, label)
+
+def _deformation(
+    family: CSFamily, coeffs: tuple[float, ...], label: float
+) -> algebra.DeformationSpec:
+    if family is CSFamily.SU2_PCS:
+        return algebra.su2_spec(coeffs, label)
+    return algebra.su11_spec(coeffs, label)
 
 
 def _build_catalog() -> dict[str, FigureDef]:
@@ -106,12 +116,31 @@ class FigureRequest:
             raise DomainError(f"format must be csv or jsonl, got {self.fmt!r}")
 
 
-_QUANTITY_FUNCS = {
-    "mean": stats.mean_photon,
-    "intcorr": stats.intensity_correlation,
-    "mandel": stats.mandel_q,
-    "metric": stats.metric_factor,
+_STATISTICS = {
+    "mean": stats.mean_from_norms,
+    "intcorr": stats.corr_from_norms,
+    "mandel": stats.mandel_from_norms,
+    "metric": stats.metric_from_norms,
 }
+
+
+@functools.lru_cache(maxsize=_NORM_TABLE_CACHE)
+def _norm_table(
+    family: CSFamily, coeffs: tuple[float, ...], grid: GridSpec
+) -> tuple[tuple[tuple[float, float, float, float], ...], ...]:
+    """(xbar, N, N', N'') per grid point and label, shared by the curve figures.
+
+    xbar is the state's own, which differs from the grid value by rounding.
+    """
+    deformations = [_deformation(family, coeffs, label) for label in grid.labels]
+    table = []
+    for xbar in grid.values():
+        cells = []
+        for deformation in deformations:
+            spec = cs_from_xbar(family, deformation, float(xbar))
+            cells.append((spec.xbar, *stats.norm_derivatives(spec)))
+        table.append(tuple(cells))
+    return tuple(table)
 
 
 def _format_value(value: float) -> str:
@@ -147,7 +176,8 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
             n_cap = req.n_max
         columns = []
         for label in labels:
-            spec = cs_from_xbar(fig.family, fig.deformation(label), xbar)
+            deformation = _deformation(fig.family, fig.coeffs, label)
+            spec = cs_from_xbar(fig.family, deformation, xbar)
             columns.append(stats.photon_distribution(spec, n_max=n_cap, eps=req.eps))
         # Trim trailing all-zero rows (finite compact towers, xbar = 0).
         n_eff = 0
@@ -158,17 +188,12 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
         rows = [[float(n)] + [col[n] for col in columns] for n in range(n_eff + 1)]
         return ["n"] + header_tail, rows
 
-    func = _QUANTITY_FUNCS[fig.quantity]
-    rows = []
-    for xbar in grid.values():
-        row = [float(xbar)]
-        for label in labels:
-            spec = cs_from_xbar(fig.family, fig.deformation(label), float(xbar))
-            try:
-                row.append(float(func(spec)))
-            except DegenerateInput:
-                row.append(math.nan)
-        rows.append(row)
+    stat = _STATISTICS[fig.quantity]
+    table = _norm_table(fig.family, fig.coeffs, grid)
+    rows = [
+        [float(xbar)] + [stat(*cell) for cell in cells]
+        for xbar, cells in zip(grid.values(), table, strict=True)
+    ]
     return ["xbar"] + header_tail, rows
 
 

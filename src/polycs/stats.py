@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError
+from .errors import ConvergenceFailure, DegenerateInput, DomainError
 from .hypergeom import pfq, pfq_derivative
 from .states import CoefficientVector, CSSpec, arg_sign, coefficients, series_params
 
@@ -64,12 +64,19 @@ class GridSpec:
 
 
 def norm_derivatives(spec: CSSpec) -> tuple[float, float, float]:
-    """(N, N', N'') with respect to xbar, by parameter shifts."""
+    """(N, N', N'') with respect to xbar, by parameter shifts.
+
+    Raises ConvergenceFailure when any of the three is not finite.
+    """
     params = series_params(spec)
     sign = arg_sign(spec)
     n0 = pfq(params).value.real
     n1 = sign * pfq_derivative(params, 1).value.real
     n2 = pfq_derivative(params, 2).value.real
+    if not (math.isfinite(n0) and math.isfinite(n1) and math.isfinite(n2)):
+        raise ConvergenceFailure(
+            f"norm derivatives not finite at xbar={spec.xbar:g}: ({n0}, {n1}, {n2})"
+        )
     return n0, n1, n2
 
 
@@ -89,45 +96,49 @@ def photon_distribution(
     return out
 
 
-# Each statistic from (N, N', N''); only the one asked for is computed, so an
-# overflow in I (n1**2 beyond float range at large su(2) j) stays in I.
-def _mean(xbar: float, n0: float, n1: float, n2: float) -> float:
+# Each statistic from (N, N', N''), shared by the public functions, stat_record
+# and the figure tables.  Only the one asked for is computed, so an overflow in
+# I (n1**2 beyond float range at large su(2) j) stays in I.  They also hold the
+# xbar = 0 rules: mean and Q vanish, I is 0/0 (nan in tables).
+def mean_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
+    if xbar == 0.0:
+        return 0.0
     return xbar * n1 / n0
 
 
-def _corr(xbar: float, n0: float, n1: float, n2: float) -> float:
+def corr_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
+    if xbar == 0.0:
+        return math.nan
     return n2 * n0 / n1**2
 
 
-def _mandel(xbar: float, n0: float, n1: float, n2: float) -> float:
+def mandel_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
+    if xbar == 0.0:
+        return 0.0
     return xbar * (n2 / n1 - n1 / n0)
 
 
-def _metric(xbar: float, n0: float, n1: float, n2: float) -> float:
+def metric_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
     ratio = n1 / n0
     return ratio + xbar * (n2 / n0 - ratio**2)
 
 
 def mean_photon(spec: CSSpec) -> float:
-    if spec.xbar == 0.0:
-        return 0.0
-    return _mean(spec.xbar, *norm_derivatives(spec))
+    return mean_from_norms(spec.xbar, *norm_derivatives(spec))
 
 
 def intensity_correlation(spec: CSSpec) -> float:
-    if spec.xbar == 0.0:
+    if spec.xbar == 0.0:  # where corr_from_norms gives nan
         raise DegenerateInput("intensity correlation is 0/0 at xbar = 0")
-    return _corr(spec.xbar, *norm_derivatives(spec))
+    return corr_from_norms(spec.xbar, *norm_derivatives(spec))
 
 
 def mandel_q(spec: CSSpec) -> float:
-    if spec.xbar == 0.0:
-        return 0.0
-    return _mandel(spec.xbar, *norm_derivatives(spec))
+    return mandel_from_norms(spec.xbar, *norm_derivatives(spec))
 
 
 def metric_factor(spec: CSSpec) -> float:
-    return _metric(spec.xbar, *norm_derivatives(spec))
+    return metric_from_norms(spec.xbar, *norm_derivatives(spec))
 
 
 def direct_moments(v: CoefficientVector) -> tuple[float, float, float]:
@@ -146,15 +157,11 @@ def stat_record(
     """Assemble the full statistics record for one state."""
     dist = photon_distribution(spec, n_max=n_max, eps=eps)
     xbar, norms = spec.xbar, norm_derivatives(spec)
-    if xbar == 0.0:
-        mean, corr, q = 0.0, math.nan, 0.0
-    else:
-        mean, corr, q = _mean(xbar, *norms), _corr(xbar, *norms), _mandel(xbar, *norms)
     return StatRecord(
         xbar=xbar,
         photon_dist=tuple(float(p) for p in dist),
-        mean_n=mean,
-        intensity_corr=corr,
-        mandel_q=q,
-        metric=_metric(xbar, *norms),
+        mean_n=mean_from_norms(xbar, *norms),
+        intensity_corr=corr_from_norms(xbar, *norms),
+        mandel_q=mandel_from_norms(xbar, *norms),
+        metric=metric_from_norms(xbar, *norms),
     )

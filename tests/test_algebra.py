@@ -241,11 +241,19 @@ class TestDeformationRoots:
         with pytest.raises(RootSolveFailure):
             deformation_roots(su11_spec((1.0, 1.0, 2.0), 3.0))
 
+    @pytest.mark.filterwarnings("error")
     def test_coefficient_overflow_is_typed(self):
-        # k(k - 1) squared raises OverflowError at k = 1e100; k(k - 1) is inf at 1e155
-        for k in (1e100, 1e155):
+        # k(k - 1) squared raises OverflowError at k = 1e100; k(k - 1) is inf at 1e155;
+        # at p = 5, k = 3e38 the coefficient products overflow in numpy, which
+        # must not leak a RuntimeWarning before the typed error
+        cases = [
+            ((1.0, 1.0, 2.0), 1e100),
+            ((1.0, 1.0, 2.0), 1e155),
+            ((2.0, 1.0, 1.0, 1.0, 3.0), 3e38),
+        ]
+        for coeffs, k in cases:
             with pytest.raises(RootSolveFailure):
-                deformation_roots(su11_spec((1.0, 1.0, 2.0), k))
+                deformation_roots(su11_spec(coeffs, k))
 
 
 class TestValidateUnitarity:

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from polycs import figures, stats
+from polycs.algebra import higgs_su11
 from polycs.cli import main
 from polycs.errors import DomainError
 from polycs.figures import (
@@ -13,9 +16,12 @@ from polycs.figures import (
     render_figure,
     write_figure,
 )
+from polycs.states import CSFamily, cs_from_xbar
 from polycs.stats import GridSpec
 
 GOLDEN = Path(__file__).parent / "golden"
+CATALOG_SHA256 = Path(__file__).parents[1] / "perfbench" / "catalog_sha256.json"
+CURVES = ("mean", "intcorr", "mandel", "metric")
 
 
 class TestCatalog:
@@ -118,6 +124,57 @@ class TestFigureContent:
         )
         first = json.loads(render_figure(req).strip().split("\n")[0])
         assert first["label_1"] is None
+
+
+class TestNormTable:
+    """The curve figures of one family and deformation share one norm table."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+    def test_catalog_bytes_pinned_in_any_order(self, reverse):
+        want = json.loads(CATALOG_SHA256.read_text())
+        assert sorted(want) == sorted(FIGURE_CATALOG)
+        figures._norm_table.cache_clear()
+        for fid in sorted(FIGURE_CATALOG, reverse=reverse):
+            text = render_figure(FigureRequest(fid))
+            assert hashlib.sha256(text.encode()).hexdigest() == want[fid], fid
+
+    def test_one_evaluation_per_state(self, monkeypatch):
+        calls = []
+        original = stats.norm_derivatives
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(stats, "norm_derivatives", counted)
+        figures._norm_table.cache_clear()
+        grid = GridSpec(0.0, 2.0, 5, (0.5, 3.0))
+        for quantity in CURVES:
+            render_figure(FigureRequest(f"nsu11-bgcs-{quantity}", grid=grid))
+        assert len(calls) == 5 * 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(0.0, 3.0, 5, (0.5, 3.0)), GridSpec(0.0, 2.0, 5, (1.0, 8.0))],
+        ids=["other-grid", "other-labels"],
+    )
+    def test_no_stale_table(self, grid):
+        first = GridSpec(0.0, 2.0, 5, (0.5, 3.0))
+        for quantity in CURVES:
+            render_figure(FigureRequest(f"nsu11-bgcs-{quantity}", grid=first))
+        requests = {q: FigureRequest(f"nsu11-bgcs-{q}", grid=grid) for q in CURVES}
+        cached = {q: figure_rows(req) for q, req in requests.items()}
+        figures._norm_table.cache_clear()
+        for quantity, req in requests.items():
+            assert cached[quantity] == figure_rows(req)
+        # and cell by cell against the public per-state statistics
+        header, rows = cached["mean"]
+        assert header[1:] == [f"label_{v:g}" for v in grid.labels]
+        assert [row[0] for row in rows] == list(grid.values())
+        for row in rows:
+            for label, value in zip(grid.labels, row[1:]):
+                spec = cs_from_xbar(CSFamily.SU11_BGCS, higgs_su11(label), row[0])
+                assert value == stats.mean_photon(spec)
 
 
 class TestWriteFigure:
@@ -225,6 +282,23 @@ class TestCLI:
             ]
         )
         assert code == 2
+
+    def test_stats_non_finite_norm_exit_3(self, capsys):
+        code = main(
+            [
+                "stats",
+                "--family",
+                "su2-pcs",
+                "--label",
+                "50",
+                "--coeffs",
+                "1,2",
+                "--amplitude-re",
+                str(math.sqrt(5.0)),
+            ]
+        )
+        assert code == 3
+        assert "ConvergenceFailure" in capsys.readouterr().err
 
     def test_stats_domain_violation_exit_2(self, capsys):
         code = main(

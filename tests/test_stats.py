@@ -12,7 +12,7 @@ from polycs.algebra import (
     linear_su2,
     linear_su11,
 )
-from polycs.errors import DegenerateInput
+from polycs.errors import ConvergenceFailure, DegenerateInput
 from polycs.hypergeom import pochhammer
 from polycs.states import CSFamily, CSSpec, coefficients, cs_from_xbar
 from polycs.stats import (
@@ -22,6 +22,7 @@ from polycs.stats import (
     mandel_q,
     mean_photon,
     metric_factor,
+    norm_derivatives,
     photon_distribution,
     stat_record,
 )
@@ -134,6 +135,15 @@ class TestMeanPhoton:
         assert mean_photon(spec) == pytest.approx(100.0 * x / (1 + x), rel=1e-12)
         assert mandel_q(spec) == pytest.approx(-x / (1 + x), rel=1e-12)
         assert metric_factor(spec) == pytest.approx(100.0 / (1 + x) ** 2, rel=1e-9)
+
+    def test_non_finite_norm_is_typed(self):
+        # su(2) cubic j = 50, x = 10: the norm series comes out nan, which
+        # must raise instead of reaching the statistics
+        spec = cs_from_xbar(CSFamily.SU2_PCS, higgs_su2(50.0), 10.0)
+        with pytest.raises(ConvergenceFailure):
+            norm_derivatives(spec)
+        with pytest.raises(ConvergenceFailure):
+            mean_photon(spec)
 
 
 class TestIntensityCorrelation:
