@@ -267,9 +267,14 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
     if not np.all(np.isfinite(coeffs)):
         raise RootSolveFailure(f"factor coefficients overflow at label {spec.rep_label:g}")
     raw = npoly.polyroots(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = npoly.polyval(np.abs(raw), np.abs(coeffs))
+        residual = np.abs(npoly.polyval(raw, coeffs))
+    # An infinite scale would pass any root as |q(z)| / inf = 0 untested.
+    if not np.all(np.isfinite(scale)):
+        raise RootSolveFailure(f"root backward error overflows at label {spec.rep_label:g}")
     # An exact zero root of a factor with c_0 = 0 gives 0/0; its error is 0.
-    scale = npoly.polyval(np.abs(raw), np.abs(coeffs))
-    worst = np.max(np.abs(npoly.polyval(raw, coeffs)) / np.where(scale == 0.0, 1.0, scale))
+    worst = np.max(residual / np.where(scale == 0.0, 1.0, scale))
     if not worst <= ROOT_TOL:
         raise RootSolveFailure(f"root backward error {worst:.3e} exceeds {ROOT_TOL:g}")
     roots = sorted((complex(w) for w in raw), key=lambda w: (w.real, w.imag))

@@ -29,13 +29,22 @@ c = (1, 0, ...) forces G = 1 and the integral equals Gamma(2k) Z^{-2k}, so
 only the Gamma(2k) normalization closes the identity.  The integral is done
 with generalized Gauss-Laguerre nodes (weight u^{2k-1} e^{-u} after scaling
 by Z), exact for the polynomial series generated by finite c; an adaptive
-fallback covers disagreement between node counts.
+fallback covers disagreement between node counts, and reports it as a DEBUG
+record on the "polycs.geometry" logger.
+
+Each probe computes its tower weights (the [rho_n]! and (2k)_n products)
+once, on first use, and every series and quadrature node reads them.  The
+Gauss-Laguerre rule is memoised per (node count, 2k - 1) and handed out as
+read-only arrays, and F is summed over all nodes at once, term by term in
+the order of the scalar series, so both routes give the same bits.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -43,9 +52,15 @@ from scipy.special import roots_genlaguerre
 
 from . import algebra
 from .algebra import DeformationSpec
-from .errors import DomainError, QuadratureFailure
+from .errors import ConvergenceFailure, DomainError, QuadratureFailure
 from .hypergeom import pfq, pochhammer, shift_params
 from .states import CSFamily, CSSpec, coefficients, series_params
+
+_log = logging.getLogger(__name__)
+
+# Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
+# holds two arrays of a few dozen floats.
+_GAUSS_LAGUERRE_RULES = 32
 
 
 @dataclass(frozen=True)
@@ -90,9 +105,23 @@ class LaplaceProbe:
         if not self.deformation_coeffs or self.deformation_coeffs[-1] <= 0.0:
             raise DomainError("probe deformation needs a positive leading coefficient")
 
-    @property
+    @cached_property
     def deformation(self) -> DeformationSpec:
         return algebra.su11_spec(self.deformation_coeffs, self.k)
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(f, g) for n < len(c): the eigenstate weights
+        f_n = 1/sqrt(n! (2k)_n [rho_n]!) and the displacement weights
+        g_n = sqrt((2k)_n / (n! [rho_n]!)), computed once per probe."""
+        two_k = 2.0 * self.k
+        f, g = [], []
+        for n in range(len(self.c)):
+            poch = pochhammer(two_k, n).real  # Gamma(n+2k)/Gamma(2k), real and positive
+            rho_fact = algebra.deformation_factorial(self.deformation, n)
+            f.append(1.0 / math.sqrt(math.factorial(n) * poch * rho_fact))
+            g.append(math.sqrt(poch / (math.factorial(n) * rho_fact)))
+        return tuple(f), tuple(g)
 
 
 def connection_coefficient(spec: CSSpec) -> float:
@@ -108,7 +137,13 @@ def connection_coefficient(spec: CSSpec) -> float:
     params = series_params(spec)
     base = pfq(params).value.real
     shifted = pfq(shift_params(params, 1)).value.real
-    return prefactor * shifted / base
+    a_val = prefactor * shifted / base
+    if not (math.isfinite(base) and math.isfinite(shifted) and math.isfinite(a_val)):
+        raise ConvergenceFailure(
+            f"connection not finite at xbar={spec.xbar:g}: "
+            f"series {base} and shifted {shifted} give A = {a_val}"
+        )
+    return a_val
 
 
 def berry_phase_loop(spec_template: CSSpec, loop: LoopSpec) -> float:
@@ -159,42 +194,48 @@ def overlap_derivative_fd(
     return complex(np.vdot(pad(center), derivative))
 
 
-def _bg_weight(probe: LaplaceProbe, n: int) -> float:
-    """sqrt(Gamma(2k) / (n! Gamma(n+2k) [rho_n]!)) for the eigenstate series."""
-    two_k = 2.0 * probe.k
-    poch = pochhammer(two_k, n).real  # Gamma(n+2k)/Gamma(2k), real and positive
-    rho_fact = algebra.deformation_factorial(probe.deformation, n)
-    return 1.0 / math.sqrt(math.factorial(n) * poch * rho_fact)
-
-
 def bg_series(probe: LaplaceProbe, xi: complex) -> complex:
     """F(xi, k): the entire series on the eigenstate-family weights."""
     acc = complex(0.0)
     power = complex(1.0)
-    for n, c_n in enumerate(probe.c):
-        acc += c_n * _bg_weight(probe, n) * power
+    for c_n, f_n in zip(probe.c, probe._weights[0]):
+        acc += c_n * f_n * power
         power *= xi
     return acc
 
 
 def pcs_series_at_inverse(probe: LaplaceProbe) -> complex:
     """G(1/Z, k): the series on the displacement-family weights at eta = 1/Z."""
-    two_k = 2.0 * probe.k
     acc = complex(0.0)
     power = 1.0
-    for n, c_n in enumerate(probe.c):
-        poch = pochhammer(two_k, n).real
-        rho_fact = algebra.deformation_factorial(probe.deformation, n)
-        acc += c_n * math.sqrt(poch / (math.factorial(n) * rho_fact)) * power
+    for c_n, g_n in zip(probe.c, probe._weights[1]):
+        acc += c_n * g_n * power
         power /= probe.Z
     return acc
 
 
+@lru_cache(maxsize=_GAUSS_LAGUERRE_RULES)
+def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule for u^alpha e^{-u}; read-only, as they are shared."""
+    u, w = roots_genlaguerre(nodes, alpha)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 def _laplace_quadrature(probe: LaplaceProbe, nodes: int) -> complex:
-    """(Z^{2k}/Gamma(2k)) integral xi^{2k-1} F(xi) e^{-Z xi} dxi, u = Z xi."""
+    """(Z^{2k}/Gamma(2k)) integral xi^{2k-1} F(xi) e^{-Z xi} dxi, u = Z xi.
+
+    F is summed at all nodes at once, term by term as bg_series sums it.
+    """
     two_k = 2.0 * probe.k
-    u, w = roots_genlaguerre(nodes, two_k - 1.0)
-    values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
+    u, w = _gauss_laguerre(nodes, two_k - 1.0)
+    xi = u / probe.Z
+    values = np.zeros(nodes, dtype=complex)
+    power = np.ones(nodes)
+    for c_n, f_n in zip(probe.c, probe._weights[0]):
+        values += c_n * f_n * power
+        power *= xi
     return complex(np.dot(w, values) / math.exp(math.lgamma(two_k)))
 
 
@@ -203,26 +244,37 @@ def laplace_check(probe: LaplaceProbe) -> tuple[complex, complex, float]:
     lhs = pcs_series_at_inverse(probe)
     rhs = _laplace_quadrature(probe, probe.quad_nodes)
     cross = _laplace_quadrature(probe, probe.quad_nodes + 16)
-    scale = max(abs(rhs), 1.0)
-    if abs(rhs - cross) > 1e-12 * scale:
+    disagreement = abs(rhs - cross)
+    if disagreement > 1e-12 * max(abs(rhs), 1.0):
+        _log.debug(
+            "laplace_check k=%g Z=%g: %d- and %d-node Gauss-Laguerre differ by %.3e; "
+            "adaptive fallback",
+            probe.k, probe.Z, probe.quad_nodes, probe.quad_nodes + 16, disagreement,
+        )
         rhs = _laplace_adaptive(probe)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def _laplace_adaptive(probe: LaplaceProbe, tol: float = 1e-10) -> complex:
+    """The Laplace side by adaptive quadrature, with an error of at most tol.
+
+    tol bounds the returned, Gamma(2k)-normalized value, so each part of the
+    raw integral is asked for tol / (2 * prefactor) with no relative target.
+    """
     two_k = 2.0 * probe.k
     prefactor = probe.Z**two_k / math.exp(math.lgamma(two_k))
+    eps = 0.5 * tol / prefactor
 
     def integrand(xi: float, part: str) -> float:
         val = xi ** (two_k - 1.0) * bg_series(probe, xi) * math.exp(-probe.Z * xi)
         return val.real if part == "re" else val.imag
 
-    re, re_err = integrate.quad(integrand, 0.0, np.inf, args=("re",), limit=200)
-    im, im_err = integrate.quad(integrand, 0.0, np.inf, args=("im",), limit=200)
-    if re_err + im_err > tol:
-        raise QuadratureFailure(
-            f"adaptive integration error {re_err + im_err:.3e} above {tol}"
-        )
+    quad = dict(epsabs=eps, epsrel=0.0, limit=200)
+    re, re_err = integrate.quad(integrand, 0.0, np.inf, args=("re",), **quad)
+    im, im_err = integrate.quad(integrand, 0.0, np.inf, args=("im",), **quad)
+    err = prefactor * (re_err + im_err)
+    if err > tol:
+        raise QuadratureFailure(f"adaptive integration error {err:.3e} above {tol}")
     return prefactor * complex(re, im)
 
 
@@ -233,6 +285,5 @@ def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
     Z^{2k+n} integral xi^{2k+n-1} e^{-Z xi} dxi after u = Z xi, where the Z
     powers cancel identically.
     """
-    two_k = 2.0 * k
-    u, w = roots_genlaguerre(nodes, two_k - 1.0)
+    u, w = _gauss_laguerre(nodes, 2.0 * k - 1.0)
     return float(np.dot(w, u ** float(n)))

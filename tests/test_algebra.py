@@ -245,11 +245,15 @@ class TestDeformationRoots:
     def test_coefficient_overflow_is_typed(self):
         # k(k - 1) squared raises OverflowError at k = 1e100; k(k - 1) is inf at 1e155;
         # at p = 5, k = 3e38 the coefficient products overflow in numpy, which
-        # must not leak a RuntimeWarning before the typed error
+        # must not leak a RuntimeWarning before the typed error; at p = 4,
+        # k = 1e51 the coefficients are finite (up to 8e306) but the backward
+        # error's scale sum_i |c_i| |z|^i overflows, which would pass any root
         cases = [
             ((1.0, 1.0, 2.0), 1e100),
             ((1.0, 1.0, 2.0), 1e155),
             ((2.0, 1.0, 1.0, 1.0, 3.0), 3e38),
+            ((1.0, 1.0, 1.0, 2.0), 1e51),
+            ((1.0, 3.0, 3.0, 1.0), 1e51),
         ]
         for coeffs, k in cases:
             with pytest.raises(RootSolveFailure):

@@ -1,10 +1,13 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11
-from polycs.errors import DomainError
+from polycs import algebra, geometry
+from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11, su2_spec
+from polycs.errors import ConvergenceFailure, DomainError, QuadratureFailure
 from polycs.geometry import (
     LaplaceProbe,
     LoopSpec,
@@ -24,6 +27,20 @@ LABELS = (0.5, 1.0, 3.0, 8.0)
 def normalized(values):
     arr = np.asarray(values, dtype=complex)
     return tuple(arr / np.linalg.norm(arr))
+
+
+@pytest.fixture
+def factorial_calls(monkeypatch):
+    """Tower indices of every algebra.deformation_factorial call."""
+    calls = []
+    original = algebra.deformation_factorial
+
+    def counted(spec, n):
+        calls.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(algebra, "deformation_factorial", counted)
+    return calls
 
 
 class TestConnectionCoefficient:
@@ -90,6 +107,18 @@ class TestConnectionCoefficient:
             jacobian = leading if family is CSFamily.SU2_PCS else 1.0 / leading
             want = jacobian * n1 / (2.0 * n0)
             assert connection_coefficient(spec) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_series_is_typed(self):
+        # su(2) PCS at large j: the norm series overflows to nan although the
+        # linear A = j c_1 / (1 + x) is about 5e-3 at r = 100
+        for coeffs, j, r in (((1.0, 2.0), 50.0, 3.0), ((1.0,), 50.0, 100.0),
+                             ((1.0, 2.0, 3.0), 20.0, 10.0)):
+            spec = CSSpec(CSFamily.SU2_PCS, su2_spec(coeffs, j), complex(r))
+            with pytest.raises(ConvergenceFailure):
+                connection_coefficient(spec)
+            with pytest.raises(ConvergenceFailure):
+                berry_phase_loop(spec, LoopSpec(r, 1.0))
 
 
 class TestBerryPhaseLoop:
@@ -239,6 +268,53 @@ class TestLaplaceCheck:
         assert lhs32 == lhs96
         assert abs(rhs32 - rhs96) < 1e-12
 
+    def test_tower_weights_once_per_check(self, factorial_calls):
+        """[rho_n]! is built once per tower index, not once per quadrature node."""
+        c = normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4])
+        probe = LaplaceProbe(c, 1.0, 2.0, deformation_coeffs=(1.0, 2.0))
+        laplace_check(probe)
+        assert sorted(factorial_calls) == list(range(len(c)))
+        assert probe.deformation is probe.deformation
+
+    def test_gauss_laguerre_rule_per_node_count(self, monkeypatch):
+        """Two checks at one k solve each node count's rule once."""
+        solved = []
+        original = geometry.roots_genlaguerre
+
+        def counted(nodes, alpha):
+            solved.append((nodes, alpha))
+            return original(nodes, alpha)
+
+        monkeypatch.setattr(geometry, "roots_genlaguerre", counted)
+        geometry._gauss_laguerre.cache_clear()
+        laplace_check(LaplaceProbe(normalized([0.6, 0.8]), 3.0, 1.5))
+        laplace_check(LaplaceProbe(normalized([0.1, 0.2, 0.3]), 3.0, 2.5))
+        gamma_quadrature_probe(2, 3.0)
+        assert solved == [(64, 5.0), (80, 5.0)]
+
+    def test_gauss_laguerre_rule_read_only(self):
+        u, w = geometry._gauss_laguerre(64, 1.0)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_vector_quadrature_matches_scalar_series(self):
+        """The all-nodes sum of F gives the bits of the scalar bg_series."""
+        probe = LaplaceProbe(
+            normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4]), 3.0, 1.7,
+            deformation_coeffs=(1.0, 1.0, 2.0),
+        )
+        u, w = geometry._gauss_laguerre(64, 5.0)
+        values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
+        want = complex(np.dot(w, values) / math.exp(math.lgamma(6.0)))
+        assert geometry._laplace_quadrature(probe, 64) == want
+
+    def test_gauss_laguerre_path_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="polycs.geometry")
+        laplace_check(LaplaceProbe(normalized([0.6, 0.8]), 1.0, 2.0))
+        assert caplog.records == []
+
     def test_probe_validation(self):
         with pytest.raises(DomainError):
             LaplaceProbe((0.5, 0.5), 1.0, 1.0)  # not normalized
@@ -246,6 +322,54 @@ class TestLaplaceCheck:
             LaplaceProbe((1.0,), -1.0, 1.0)
         with pytest.raises(DomainError):
             LaplaceProbe((1.0,), 1.0, 0.0)
+
+
+class TestLaplaceAdaptiveFallback:
+    PROBE = LaplaceProbe(
+        normalized([0.3, 0.5j, 0.2, 0.7]), 1.0, 2.0, deformation_coeffs=(1.0, 2.0)
+    )
+
+    @staticmethod
+    def _disagreeing_nodes(monkeypatch):
+        original = geometry._laplace_quadrature
+
+        def skewed(probe, nodes):
+            value = original(probe, nodes)
+            return value + 1e-6 if nodes == probe.quad_nodes + 16 else value
+
+        monkeypatch.setattr(geometry, "_laplace_quadrature", skewed)
+
+    def test_fallback_closes_identity(self, monkeypatch, caplog, factorial_calls):
+        self._disagreeing_nodes(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="polycs.geometry")
+        probe = dataclasses.replace(self.PROBE)  # weights not yet computed
+        lhs, rhs, gap = laplace_check(probe)
+        assert gap < 1e-8
+        # the adaptive integrand reads the probe's weights like every other route
+        assert sorted(factorial_calls) == list(range(len(probe.c)))
+        [record] = caplog.records
+        assert record.name == "polycs.geometry"
+        assert record.levelno == logging.DEBUG
+        assert "64- and 80-node" in record.getMessage()
+        assert "1.000e-06" in record.getMessage()
+
+    def test_fallback_is_silent_by_default(self, monkeypatch, capsys):
+        self._disagreeing_nodes(monkeypatch)
+        laplace_check(self.PROBE)
+        assert capsys.readouterr() == ("", "")
+
+    def test_adaptive_meets_tol_on_scaled_value(self):
+        # tol bounds the Gamma(2k)-normalized result; at k = 8 the raw
+        # integral is about Gamma(16) / Z^16, far above 1 at Z = 0.5
+        for k, z_val in ((self.PROBE.k, self.PROBE.Z), (8.0, 0.5), (0.25, 3.0)):
+            probe = dataclasses.replace(self.PROBE, k=k, Z=z_val)
+            rhs = geometry._laplace_adaptive(probe)
+            assert abs(rhs - pcs_series_at_inverse(probe)) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_adaptive_error_above_tol_raises(self):
+        with pytest.raises(QuadratureFailure):
+            geometry._laplace_adaptive(self.PROBE, tol=1e-300)
 
 
 class TestGammaQuadrature:
