@@ -26,40 +26,36 @@ weights (G); they satisfy
 
 The prefactor carries Gamma(2k), not its square root: the constant probe
 c = (1, 0, ...) forces G = 1 and the integral equals Gamma(2k) Z^{-2k}, so
-only the Gamma(2k) normalization closes the identity.  The integral is done
-with generalized Gauss-Laguerre nodes (weight u^{2k-1} e^{-u} after scaling
-by Z), exact for the polynomial series generated by finite c; an adaptive
-fallback covers disagreement between node counts, and reports it as a DEBUG
-record on the "polycs.geometry" logger.
+only the Gamma(2k) normalization closes the identity.  A length-L probe makes
+F a polynomial of degree L - 1, so one generalized Gauss-Laguerre rule of
+floor(L/2) + 1 nodes (weight u^{2k-1} e^{-u}, u = Z xi) integrates it
+exactly.  It is the only quadrature, with no fallback and no log record: the
+closed series G is the identity's independent oracle.
 
-Each probe computes its tower weights (the [rho_n]! and (2k)_n products)
-once, on first use, and every series and quadrature node reads them.  The
-Gauss-Laguerre rule is memoised per (node count, 2k - 1) and handed out as
-read-only arrays, and F is summed over all nodes at once, term by term in
-the order of the scalar series, so both routes give the same bits.
+Tower terms come from ratio recurrences, t_n = t_{n-1} xi r_n for F and
+s_n = s_{n-1} q_n for G, so no factorial-sized quantity is formed.  Each
+probe computes r_n and q_n once, and F is summed over all nodes at once in
+the order of the scalar series, so both routes give the same bits.  A series
+that is not finite raises QuadratureFailure.
 """
 
 from __future__ import annotations
 
-import logging
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_genlaguerre
 
 from . import algebra
 from .algebra import DeformationSpec
 from .errors import ConvergenceFailure, DomainError, QuadratureFailure
-from .hypergeom import pfq, pochhammer, shift_params
+from .hypergeom import pfq, shift_params
 from .states import CSFamily, CSSpec, coefficients, series_params
 
-_log = logging.getLogger(__name__)
-
 # Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
-# holds two arrays of a few dozen floats.
+# holds two arrays of at most a few hundred floats.
 _GAUSS_LAGUERRE_RULES = 32
 
 
@@ -88,7 +84,6 @@ class LaplaceProbe:
     c: tuple[complex, ...]
     k: float
     Z: float
-    quad_nodes: int = 64
     deformation_coeffs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
@@ -100,8 +95,6 @@ class LaplaceProbe:
             raise DomainError(f"k must be positive, got {self.k}")
         if self.Z <= 0.0:
             raise DomainError(f"Z must be positive, got {self.Z}")
-        if self.quad_nodes < 4:
-            raise DomainError("need at least 4 quadrature nodes")
         if not self.deformation_coeffs or self.deformation_coeffs[-1] <= 0.0:
             raise DomainError("probe deformation needs a positive leading coefficient")
 
@@ -110,18 +103,18 @@ class LaplaceProbe:
         return algebra.su11_spec(self.deformation_coeffs, self.k)
 
     @cached_property
-    def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(f, g) for n < len(c): the eigenstate weights
-        f_n = 1/sqrt(n! (2k)_n [rho_n]!) and the displacement weights
-        g_n = sqrt((2k)_n / (n! [rho_n]!)), computed once per probe."""
+    def _ratios(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(r, q) for n = 1 .. len(c) - 1: r_n = 1/sqrt(n (2k+n-1) rho_n) and
+        q_n = sqrt((2k+n-1)/(n rho_n))/Z, the term ratios of F and G(1/Z)."""
         two_k = 2.0 * self.k
-        f, g = [], []
-        for n in range(len(self.c)):
-            poch = pochhammer(two_k, n).real  # Gamma(n+2k)/Gamma(2k), real and positive
-            rho_fact = algebra.deformation_factorial(self.deformation, n)
-            f.append(1.0 / math.sqrt(math.factorial(n) * poch * rho_fact))
-            g.append(math.sqrt(poch / (math.factorial(n) * rho_fact)))
-        return tuple(f), tuple(g)
+        r, q = [], []
+        for n in range(1, len(self.c)):
+            rho = algebra.deformation_factor(self.deformation, float(n))
+            if not rho > 0.0:
+                raise DomainError(f"probe deformation gives rho_{n} = {rho} <= 0")
+            r.append(1.0 / math.sqrt(n * (two_k + n - 1.0) * rho))
+            q.append(math.sqrt((two_k + n - 1.0) / (n * rho)) / self.Z)
+        return tuple(r), tuple(q)
 
 
 def connection_coefficient(spec: CSSpec) -> float:
@@ -194,88 +187,89 @@ def overlap_derivative_fd(
     return complex(np.vdot(pad(center), derivative))
 
 
+def _tower_sum(c, ratios, x, term):
+    """sum c_n t_n, t_n = t_{n-1} x ratio_n; over node arrays, the scalar sum's bits."""
+    acc = c[0] * term
+    for c_n, ratio in zip(c[1:], ratios):
+        term = term * x * ratio
+        acc = acc + c_n * term
+    return acc
+
+
 def bg_series(probe: LaplaceProbe, xi: complex) -> complex:
     """F(xi, k): the entire series on the eigenstate-family weights."""
-    acc = complex(0.0)
-    power = complex(1.0)
-    for c_n, f_n in zip(probe.c, probe._weights[0]):
-        acc += c_n * f_n * power
-        power *= xi
-    return acc
+    return _tower_sum(probe.c, probe._ratios[0], xi, complex(1.0))
 
 
 def pcs_series_at_inverse(probe: LaplaceProbe) -> complex:
     """G(1/Z, k): the series on the displacement-family weights at eta = 1/Z."""
-    acc = complex(0.0)
-    power = 1.0
-    for c_n, g_n in zip(probe.c, probe._weights[1]):
-        acc += c_n * g_n * power
-        power /= probe.Z
-    return acc
+    return _tower_sum(probe.c, probe._ratios[1], 1.0, 1.0)
+
+
+def _laguerre_pair(n: int, alpha: float, u: np.ndarray):
+    """(L_{n-1}, L_n)^(alpha) at u, each step divided by max(|L_{m-1}|, |L_m|) so
+    nothing overflows or vanishes, and the log of the scale divided out."""
+    p0 = np.ones_like(u)
+    p1 = 1.0 + alpha - u
+    log_scale = np.zeros_like(u)
+    for m in range(1, n):
+        p0, p1 = p1, ((2.0 * m + 1.0 + alpha - u) * p1 - (m + alpha) * p0) / (m + 1.0)
+        scale = np.maximum(np.abs(p0), np.abs(p1))
+        p0, p1 = p0 / scale, p1 / scale
+        log_scale += np.log(scale)
+    return p0, p1, log_scale
 
 
 @lru_cache(maxsize=_GAUSS_LAGUERRE_RULES)
 def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule for u^alpha e^{-u}; read-only, as they are shared."""
-    u, w = roots_genlaguerre(nodes, alpha)
+    """Nodes and weights of the rule for the density u^alpha e^{-u} / Gamma(alpha + 1);
+    read-only, as they are shared.
+
+    Nodes are Jacobi-matrix eigenvalues after one Newton step on L_n.  Weights,
+    proportional to 1/(L_{n-1} L_n'), are formed in logs and sum to 1, so each
+    is accurate relative to its own size (squared eigenvector components are
+    not) and no alpha overflows them.
+    """
+    diag = 2.0 * np.arange(nodes) + alpha + 1.0
+    i = np.arange(1.0, nodes)
+    off = np.sqrt(i * (i + alpha))
+    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p0, p1, _ = _laguerre_pair(nodes, alpha, u)
+    u = u - u * p1 / (nodes * p1 - (nodes + alpha) * p0)
+    p0, p1, log_scale = _laguerre_pair(nodes, alpha, u)
+    u_derivative = nodes * p1 - (nodes + alpha) * p0  # u L_n', scaled like p0, p1
+    log_w = np.log(u / np.abs(p0 * u_derivative)) - 2.0 * log_scale
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
 
 
 def _laplace_quadrature(probe: LaplaceProbe, nodes: int) -> complex:
-    """(Z^{2k}/Gamma(2k)) integral xi^{2k-1} F(xi) e^{-Z xi} dxi, u = Z xi.
+    """(Z^{2k}/Gamma(2k)) integral xi^{2k-1} F(xi) e^{-Z xi} dxi, u = Z xi: the
+    mean of F(u/Z) under the Gamma(2k) density.
 
     F is summed at all nodes at once, term by term as bg_series sums it.
     """
-    two_k = 2.0 * probe.k
-    u, w = _gauss_laguerre(nodes, two_k - 1.0)
-    xi = u / probe.Z
-    values = np.zeros(nodes, dtype=complex)
-    power = np.ones(nodes)
-    for c_n, f_n in zip(probe.c, probe._weights[0]):
-        values += c_n * f_n * power
-        power *= xi
-    return complex(np.dot(w, values) / math.exp(math.lgamma(two_k)))
+    u, w = _gauss_laguerre(nodes, 2.0 * probe.k - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _tower_sum(probe.c, probe._ratios[0], u / probe.Z, np.ones(nodes))
+        rhs = complex(np.dot(w, values))
+    if not (np.isfinite(values).all() and cmath.isfinite(rhs)):
+        raise QuadratureFailure(
+            f"F not finite at the {nodes}-node rule (k={probe.k:g}, Z={probe.Z:g})"
+        )
+    return rhs
 
 
 def laplace_check(probe: LaplaceProbe) -> tuple[complex, complex, float]:
-    """(lhs, rhs, |lhs - rhs|) of the Laplace identity for this probe."""
+    """(lhs, rhs, |lhs - rhs|) of the Laplace identity, on the smallest exact rule."""
     lhs = pcs_series_at_inverse(probe)
-    rhs = _laplace_quadrature(probe, probe.quad_nodes)
-    cross = _laplace_quadrature(probe, probe.quad_nodes + 16)
-    disagreement = abs(rhs - cross)
-    if disagreement > 1e-12 * max(abs(rhs), 1.0):
-        _log.debug(
-            "laplace_check k=%g Z=%g: %d- and %d-node Gauss-Laguerre differ by %.3e; "
-            "adaptive fallback",
-            probe.k, probe.Z, probe.quad_nodes, probe.quad_nodes + 16, disagreement,
-        )
-        rhs = _laplace_adaptive(probe)
+    if not cmath.isfinite(lhs):
+        raise QuadratureFailure(f"G(1/Z) not finite (k={probe.k:g}, Z={probe.Z:g})")
+    rhs = _laplace_quadrature(probe, len(probe.c) // 2 + 1)
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _laplace_adaptive(probe: LaplaceProbe, tol: float = 1e-10) -> complex:
-    """The Laplace side by adaptive quadrature, with an error of at most tol.
-
-    tol bounds the returned, Gamma(2k)-normalized value, so each part of the
-    raw integral is asked for tol / (2 * prefactor) with no relative target.
-    """
-    two_k = 2.0 * probe.k
-    prefactor = probe.Z**two_k / math.exp(math.lgamma(two_k))
-    eps = 0.5 * tol / prefactor
-
-    def integrand(xi: float, part: str) -> float:
-        val = xi ** (two_k - 1.0) * bg_series(probe, xi) * math.exp(-probe.Z * xi)
-        return val.real if part == "re" else val.imag
-
-    quad = dict(epsabs=eps, epsrel=0.0, limit=200)
-    re, re_err = integrate.quad(integrand, 0.0, np.inf, args=("re",), **quad)
-    im, im_err = integrate.quad(integrand, 0.0, np.inf, args=("im",), **quad)
-    err = prefactor * (re_err + im_err)
-    if err > tol:
-        raise QuadratureFailure(f"adaptive integration error {err:.3e} above {tol}")
-    return prefactor * complex(re, im)
 
 
 def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
@@ -283,7 +277,7 @@ def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
 
     This is the scaled integral representation Gamma(n+2k) =
     Z^{2k+n} integral xi^{2k+n-1} e^{-Z xi} dxi after u = Z xi, where the Z
-    powers cancel identically.
+    powers cancel identically; the rule's weights carry 1/Gamma(2k).
     """
     u, w = _gauss_laguerre(nodes, 2.0 * k - 1.0)
-    return float(np.dot(w, u ** float(n)))
+    return math.gamma(2.0 * k) * float(np.dot(w, u ** float(n)))

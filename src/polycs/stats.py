@@ -97,19 +97,23 @@ def photon_distribution(
 
 
 # Each statistic from (N, N', N''), shared by the public functions, stat_record
-# and the figure tables.  Only the one asked for is computed, so an overflow in
-# I (n1**2 beyond float range at large su(2) j) stays in I.  They also hold the
-# xbar = 0 rules: mean and Q vanish, I is 0/0 (nan in tables).
+# and the figure tables, with the xbar = 0 rules: mean and Q vanish, I is 0/0
+# (nan in tables).  Where n1**2 or xbar * n1 leaves float range (large su(2)
+# j), I and the mean take the ratio form; all other values keep their bits.
 def mean_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
     if xbar == 0.0:
         return 0.0
-    return xbar * n1 / n0
+    mean = xbar * n1 / n0
+    return mean if math.isfinite(mean) else xbar * (n1 / n0)
 
 
 def corr_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
     if xbar == 0.0:
         return math.nan
-    return n2 * n0 / n1**2
+    try:
+        return n2 * n0 / n1**2
+    except OverflowError:
+        return (n2 / n1) * (n0 / n1)
 
 
 def mandel_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import math
 
@@ -30,17 +29,22 @@ def normalized(values):
 
 
 @pytest.fixture
-def factorial_calls(monkeypatch):
-    """Tower indices of every algebra.deformation_factorial call."""
+def factor_calls(monkeypatch):
+    """Tower indices of every algebra.deformation_factor call."""
     calls = []
-    original = algebra.deformation_factorial
+    original = algebra.deformation_factor
 
     def counted(spec, n):
         calls.append(n)
         return original(spec, n)
 
-    monkeypatch.setattr(algebra, "deformation_factorial", counted)
+    monkeypatch.setattr(algebra, "deformation_factor", counted)
     return calls
+
+
+def random_probe(rng, length, k, z_val, coeffs=(1.0,)):
+    c = normalized(rng.normal(size=length) + 1j * rng.normal(size=length))
+    return LaplaceProbe(c, k, z_val, deformation_coeffs=coeffs)
 
 
 class TestConnectionCoefficient:
@@ -262,35 +266,33 @@ class TestLaplaceCheck:
                         assert gap < 1e-8
 
     def test_quadrature_node_invariance(self):
+        """The sized rule is exact: 32 and 96 nodes give the same integral."""
         c = normalized([0.3, 0.5, 0.2, 0.7])
-        lhs32, rhs32, _ = laplace_check(LaplaceProbe(c, 1.0, 2.0, quad_nodes=32))
-        lhs96, rhs96, _ = laplace_check(LaplaceProbe(c, 1.0, 2.0, quad_nodes=96))
-        assert lhs32 == lhs96
-        assert abs(rhs32 - rhs96) < 1e-12
+        probe = LaplaceProbe(c, 1.0, 2.0)
+        _, sized, _ = laplace_check(probe)
+        assert sized == geometry._laplace_quadrature(probe, len(c) // 2 + 1)
+        for nodes in (32, 96):
+            assert abs(geometry._laplace_quadrature(probe, nodes) - sized) < 1e-12
 
-    def test_tower_weights_once_per_check(self, factorial_calls):
-        """[rho_n]! is built once per tower index, not once per quadrature node."""
+    def test_tower_weights_once_per_check(self, factor_calls):
+        """The term ratios need one deformation_factor call per n >= 1,
+        made once per probe, not once per quadrature node or per check."""
         c = normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4])
         probe = LaplaceProbe(c, 1.0, 2.0, deformation_coeffs=(1.0, 2.0))
         laplace_check(probe)
-        assert sorted(factorial_calls) == list(range(len(c)))
+        laplace_check(probe)
+        bg_series(probe, 0.5)
+        assert factor_calls == [float(n) for n in range(1, len(c))]
         assert probe.deformation is probe.deformation
 
-    def test_gauss_laguerre_rule_per_node_count(self, monkeypatch):
-        """Two checks at one k solve each node count's rule once."""
-        solved = []
-        original = geometry.roots_genlaguerre
-
-        def counted(nodes, alpha):
-            solved.append((nodes, alpha))
-            return original(nodes, alpha)
-
-        monkeypatch.setattr(geometry, "roots_genlaguerre", counted)
+    def test_gauss_laguerre_rule_per_node_count(self):
+        """Two checks at one k and rule size build that rule once."""
         geometry._gauss_laguerre.cache_clear()
         laplace_check(LaplaceProbe(normalized([0.6, 0.8]), 3.0, 1.5))
         laplace_check(LaplaceProbe(normalized([0.1, 0.2, 0.3]), 3.0, 2.5))
         gamma_quadrature_probe(2, 3.0)
-        assert solved == [(64, 5.0), (80, 5.0)]
+        info = geometry._gauss_laguerre.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
     def test_gauss_laguerre_rule_read_only(self):
         u, w = geometry._gauss_laguerre(64, 1.0)
@@ -307,13 +309,29 @@ class TestLaplaceCheck:
         )
         u, w = geometry._gauss_laguerre(64, 5.0)
         values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
-        want = complex(np.dot(w, values) / math.exp(math.lgamma(6.0)))
+        want = complex(np.dot(w, values))
         assert geometry._laplace_quadrature(probe, 64) == want
 
     def test_gauss_laguerre_path_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="polycs.geometry")
         laplace_check(LaplaceProbe(normalized([0.6, 0.8]), 1.0, 2.0))
         assert caplog.records == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_k_closes(self):
+        # Gamma(2k) passes float range from k ~ 86; the rule's weights sum to 1
+        for k in (90.0, 1000.0):
+            probe = random_probe(np.random.default_rng(int(k)), 8, k, 10.0)
+            lhs, rhs, gap = laplace_check(probe)
+            assert gap < 1e-8 * abs(lhs)
+
+    def test_non_positive_rho_is_domain_error(self):
+        # (c_1, c_2) = (-5, 1) at k = 1/2: rho_1 = -5 + (k(k-1) + (k+1)k) = -4.5
+        probe = LaplaceProbe(
+            normalized([0.6, 0.8]), 0.5, 1.0, deformation_coeffs=(-5.0, 1.0)
+        )
+        with pytest.raises(DomainError):
+            laplace_check(probe)
 
     def test_probe_validation(self):
         with pytest.raises(DomainError):
@@ -324,52 +342,52 @@ class TestLaplaceCheck:
             LaplaceProbe((1.0,), 1.0, 0.0)
 
 
-class TestLaplaceAdaptiveFallback:
-    PROBE = LaplaceProbe(
-        normalized([0.3, 0.5j, 0.2, 0.7]), 1.0, 2.0, deformation_coeffs=(1.0, 2.0)
-    )
+class TestLongProbes:
+    """Probes far longer than any rule-size floor; the tower terms come from
+    ratios, so nothing factorial-sized is formed, and no warning may leak."""
 
-    @staticmethod
-    def _disagreeing_nodes(monkeypatch):
-        original = geometry._laplace_quadrature
-
-        def skewed(probe, nodes):
-            value = original(probe, nodes)
-            return value + 1e-6 if nodes == probe.quad_nodes + 16 else value
-
-        monkeypatch.setattr(geometry, "_laplace_quadrature", skewed)
-
-    def test_fallback_closes_identity(self, monkeypatch, caplog, factorial_calls):
-        self._disagreeing_nodes(monkeypatch)
-        caplog.set_level(logging.DEBUG, logger="polycs.geometry")
-        probe = dataclasses.replace(self.PROBE)  # weights not yet computed
-        lhs, rhs, gap = laplace_check(probe)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", (100, 160, 300))
+    @pytest.mark.parametrize("coeffs", ((1.0,), (0.5, 1.0, 2.0)))
+    @pytest.mark.parametrize("k, z_val", ((1.0, 1.0), (0.25, 3.0)))
+    def test_long_probe_closes(self, length, coeffs, k, z_val):
+        rng = np.random.default_rng(length)
+        _, _, gap = laplace_check(random_probe(rng, length, k, z_val, coeffs))
         assert gap < 1e-8
-        # the adaptive integrand reads the probe's weights like every other route
-        assert sorted(factorial_calls) == list(range(len(probe.c)))
-        [record] = caplog.records
-        assert record.name == "polycs.geometry"
-        assert record.levelno == logging.DEBUG
-        assert "64- and 80-node" in record.getMessage()
-        assert "1.000e-06" in record.getMessage()
 
-    def test_fallback_is_silent_by_default(self, monkeypatch, capsys):
-        self._disagreeing_nodes(monkeypatch)
-        laplace_check(self.PROBE)
-        assert capsys.readouterr() == ("", "")
-
-    def test_adaptive_meets_tol_on_scaled_value(self):
-        # tol bounds the Gamma(2k)-normalized result; at k = 8 the raw
-        # integral is about Gamma(16) / Z^16, far above 1 at Z = 0.5
-        for k, z_val in ((self.PROBE.k, self.PROBE.Z), (8.0, 0.5), (0.25, 3.0)):
-            probe = dataclasses.replace(self.PROBE, k=k, Z=z_val)
-            rhs = geometry._laplace_adaptive(probe)
-            assert abs(rhs - pcs_series_at_inverse(probe)) < 1e-10
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_adaptive_error_above_tol_raises(self):
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_terms_are_typed(self):
+        # G(1/Z) stays finite, but F at the largest of the 151 nodes
+        # (xi ~ 2400) passes float range
+        probe = random_probe(np.random.default_rng(7), 300, 1.0, 0.25)
+        assert math.isfinite(abs(pcs_series_at_inverse(probe)))
         with pytest.raises(QuadratureFailure):
-            geometry._laplace_adaptive(self.PROBE, tol=1e-300)
+            laplace_check(probe)
+
+
+class TestGaussLaguerreRule:
+    @pytest.mark.parametrize("alpha", (-0.5, 0.0, 1.0, 15.0))
+    def test_normalized_moments(self, alpha):
+        """sum w_i u_i^m Gamma(alpha + 1) / Gamma(m + alpha + 1) = 1 for every
+        m <= 2n - 1, summed in logs so that u^m cannot overflow."""
+        for n in (1, 2, 4, 8, 32, 64, 80, 150):
+            u, w = geometry._gauss_laguerre(n, alpha)
+            log_w, log_u = np.log(w) + math.lgamma(alpha + 1.0), np.log(u)
+            for m in range(2 * n):
+                moment = np.exp(log_w + m * log_u - math.lgamma(m + alpha + 1.0)).sum()
+                assert abs(moment - 1.0) < 1e-11, (n, m)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_rule_recurrence_stays_in_range(self):
+        """Unscaled, L_400 passes float range at the top nodes; the rescaled
+        recurrence builds the rule with no warning and finite values."""
+        u, w = geometry._gauss_laguerre(400, 1.0)
+        assert np.isfinite(u).all() and np.isfinite(w).all() and (w >= 0.0).all()
+        used = w > 0.0  # the top weights are below float range
+        for m in range(100):
+            # Gamma(alpha + 1) = Gamma(2) = 1
+            terms = np.log(w[used]) + m * np.log(u[used]) - math.lgamma(m + 2.0)
+            assert abs(np.exp(terms).sum() - 1.0) < 1e-11, m
 
 
 class TestGammaQuadrature:

@@ -11,6 +11,7 @@ from polycs.algebra import (
     higgs_su11,
     linear_su2,
     linear_su11,
+    su2_spec,
 )
 from polycs.errors import ConvergenceFailure, DegenerateInput
 from polycs.hypergeom import pochhammer
@@ -129,12 +130,21 @@ class TestMeanPhoton:
         assert mean_photon(spec) == pytest.approx(0.5, rel=1e-12)
 
     def test_large_j_norm_past_float_square(self):
-        # N' ~ 1e200 here, so N'^2 overflows; only I needs it
+        # N' ~ 1e200 here, so N'^2 overflows; I takes the ratio form
         x = 100.0
         spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(50.0), x)
+        assert abs(intensity_correlation(spec) - 0.99) < 1e-12  # 1 - 1/(2j)
         assert mean_photon(spec) == pytest.approx(100.0 * x / (1 + x), rel=1e-12)
         assert mandel_q(spec) == pytest.approx(-x / (1 + x), rel=1e-12)
         assert metric_factor(spec) == pytest.approx(100.0 / (1 + x) ** 2, rel=1e-9)
+
+    def test_product_overflow_takes_ratio_form(self):
+        # su(2) (3, 2, 3), j = 20: N ~ 3e307, so xbar * N' leaves float range
+        spec = cs_from_xbar(CSFamily.SU2_PCS, su2_spec((3.0, 2.0, 3.0), 20.0), 194.0)
+        mean = mean_photon(spec)
+        assert math.isfinite(mean)
+        want = direct_moments(coefficients(spec))[0]
+        assert mean == pytest.approx(want, rel=1e-8)
 
     def test_non_finite_norm_is_typed(self):
         # su(2) cubic j = 50, x = 10: the norm series comes out nan, which
@@ -321,6 +331,15 @@ class TestStatRecord:
         assert record.mandel_q == pytest.approx(-0.5)
         assert record.metric == pytest.approx(0.5)
         assert sum(record.photon_dist) == pytest.approx(1.0, abs=1e-10)
+
+    def test_norm_square_overflow_matches_direct_moments(self):
+        # su(2) (1, 1, 2), j = 20, x = 10: N'^2 overflows
+        spec = cs_from_xbar(CSFamily.SU2_PCS, su2_spec((1.0, 1.0, 2.0), 20.0), 10.0)
+        record = stat_record(spec)
+        mean, fact2, var = direct_moments(coefficients(spec))
+        assert record.mean_n == pytest.approx(mean, rel=1e-8)
+        assert record.intensity_corr == pytest.approx(fact2 / mean**2, rel=1e-8)
+        assert record.mandel_q == pytest.approx(var / mean - 1.0, rel=1e-8)
 
     def test_zero_amplitude_nan_correlation(self):
         spec = CSSpec(CSFamily.SU2_PCS, linear_su2(1.0), 0.0)
