@@ -27,16 +27,15 @@ weights (G); they satisfy
 The prefactor carries Gamma(2k), not its square root: the constant probe
 c = (1, 0, ...) forces G = 1 and the integral equals Gamma(2k) Z^{-2k}, so
 only the Gamma(2k) normalization closes the identity.  A length-L probe makes
-F a polynomial of degree L - 1, so one generalized Gauss-Laguerre rule of
-floor(L/2) + 1 nodes (weight u^{2k-1} e^{-u}, u = Z xi) integrates it
-exactly.  It is the only quadrature, with no fallback and no log record: the
-closed series G is the identity's independent oracle.
+F a polynomial of degree L - 1, which the generalized Gauss-Laguerre rule of
+ceil(L/2) nodes (weight u^{2k-1} e^{-u}, u = Z xi), the fewest exact for it,
+integrates exactly.  There is no other quadrature, fallback or log record:
+the closed series G is the identity's independent oracle.
 
-Tower terms come from ratio recurrences, t_n = t_{n-1} xi r_n for F and
-s_n = s_{n-1} q_n for G, so no factorial-sized quantity is formed.  Each
-probe computes r_n and q_n once, and F is summed over all nodes at once in
-the order of the scalar series, so both routes give the same bits.  A series
-that is not finite raises QuadratureFailure.
+Tower terms come from ratio recurrences (t_n = t_{n-1} xi r_n for F, s_n =
+s_{n-1} q_n for G), computed once per probe, so no factorial-sized quantity
+is formed.  F is summed over all nodes at once in the scalar series' order, so
+both routes give the same bits.  A non-finite series raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ class LaplaceProbe:
 def connection_coefficient(spec: CSSpec) -> float:
     """The scalar A(xbar) multiplying (alpha* alpha_dot - alpha_dot* alpha)."""
     d = spec.deformation
-    factor1 = algebra.deformation_factor(d, 1.0)  # [chi_1]! resp. [rho_1]!
+    factor1 = algebra.deformation_factorial(d, 1)  # [chi_1]! resp. [rho_1]!
     if spec.family is CSFamily.SU2_PCS:
         prefactor = d.two_j * factor1 / 2.0
     elif spec.family is CSFamily.SU11_BGCS:
@@ -209,8 +208,7 @@ def pcs_series_at_inverse(probe: LaplaceProbe) -> complex:
 def _laguerre_pair(n: int, alpha: float, u: np.ndarray):
     """(L_{n-1}, L_n)^(alpha) at u, each step divided by max(|L_{m-1}|, |L_m|) so
     nothing overflows or vanishes, and the log of the scale divided out."""
-    p0 = np.ones_like(u)
-    p1 = 1.0 + alpha - u
+    p0, p1 = np.ones_like(u), 1.0 + alpha - u
     log_scale = np.zeros_like(u)
     for m in range(1, n):
         p0, p1 = p1, ((2.0 * m + 1.0 + alpha - u) * p1 - (m + alpha) * p0) / (m + 1.0)
@@ -222,14 +220,11 @@ def _laguerre_pair(n: int, alpha: float, u: np.ndarray):
 
 @lru_cache(maxsize=_GAUSS_LAGUERRE_RULES)
 def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule for the density u^alpha e^{-u} / Gamma(alpha + 1);
-    read-only, as they are shared.
-
-    Nodes are Jacobi-matrix eigenvalues after one Newton step on L_n.  Weights,
-    proportional to 1/(L_{n-1} L_n'), are formed in logs and sum to 1, so each
-    is accurate relative to its own size (squared eigenvector components are
-    not) and no alpha overflows them.
-    """
+    """Nodes and weights of the rule for the density u^alpha e^{-u} / Gamma(alpha + 1),
+    read-only as they are shared.  Nodes are Jacobi-matrix eigenvalues after one
+    Newton step on L_n; weights, proportional to 1/(L_{n-1} L_n'), are formed in
+    logs and sum to 1, so each is accurate relative to its own size (squared
+    eigenvector components are not) and no alpha overflows them."""
     diag = 2.0 * np.arange(nodes) + alpha + 1.0
     i = np.arange(1.0, nodes)
     off = np.sqrt(i * (i + alpha))
@@ -268,7 +263,7 @@ def laplace_check(probe: LaplaceProbe) -> tuple[complex, complex, float]:
     lhs = pcs_series_at_inverse(probe)
     if not cmath.isfinite(lhs):
         raise QuadratureFailure(f"G(1/Z) not finite (k={probe.k:g}, Z={probe.Z:g})")
-    rhs = _laplace_quadrature(probe, len(probe.c) // 2 + 1)
+    rhs = _laplace_quadrature(probe, (len(probe.c) + 1) // 2)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -279,5 +274,9 @@ def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
     Z^{2k+n} integral xi^{2k+n-1} e^{-Z xi} dxi after u = Z xi, where the Z
     powers cancel identically; the rule's weights carry 1/Gamma(2k).
     """
+    try:
+        gamma_2k = math.gamma(2.0 * k)
+    except OverflowError:
+        raise DomainError(f"Gamma(2k) is past float range at k={k:g}") from None
     u, w = _gauss_laguerre(nodes, 2.0 * k - 1.0)
-    return math.gamma(2.0 * k) * float(np.dot(w, u ** float(n)))
+    return gamma_2k * float(np.dot(w, u ** float(n)))

@@ -270,7 +270,7 @@ class TestLaplaceCheck:
         c = normalized([0.3, 0.5, 0.2, 0.7])
         probe = LaplaceProbe(c, 1.0, 2.0)
         _, sized, _ = laplace_check(probe)
-        assert sized == geometry._laplace_quadrature(probe, len(c) // 2 + 1)
+        assert sized == geometry._laplace_quadrature(probe, (len(c) + 1) // 2)
         for nodes in (32, 96):
             assert abs(geometry._laplace_quadrature(probe, nodes) - sized) < 1e-12
 
@@ -286,10 +286,11 @@ class TestLaplaceCheck:
         assert probe.deformation is probe.deformation
 
     def test_gauss_laguerre_rule_per_node_count(self):
-        """Two checks at one k and rule size build that rule once."""
+        """Two checks at one k and rule size build that rule once; lengths
+        3 and 4 both take the 2-node rule."""
         geometry._gauss_laguerre.cache_clear()
-        laplace_check(LaplaceProbe(normalized([0.6, 0.8]), 3.0, 1.5))
-        laplace_check(LaplaceProbe(normalized([0.1, 0.2, 0.3]), 3.0, 2.5))
+        laplace_check(LaplaceProbe(normalized([0.6, 0.8, 0.3]), 3.0, 1.5))
+        laplace_check(LaplaceProbe(normalized([0.1, 0.2, 0.3, 0.4]), 3.0, 2.5))
         gamma_quadrature_probe(2, 3.0)
         info = geometry._gauss_laguerre.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
@@ -357,7 +358,7 @@ class TestLongProbes:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_terms_are_typed(self):
-        # G(1/Z) stays finite, but F at the largest of the 151 nodes
+        # G(1/Z) stays finite, but F at the largest of the 150 nodes
         # (xi ~ 2400) passes float range
         probe = random_probe(np.random.default_rng(7), 300, 1.0, 0.25)
         assert math.isfinite(abs(pcs_series_at_inverse(probe)))
@@ -397,6 +398,11 @@ class TestGammaQuadrature:
                 got = gamma_quadrature_probe(n, k)
                 want = math.gamma(n + 2.0 * k)
                 assert got == pytest.approx(want, rel=1e-10)
+
+    def test_gamma_past_float_range_is_domain_error(self):
+        # Gamma(180) is past float range
+        with pytest.raises(DomainError):
+            gamma_quadrature_probe(1, 90.0)
 
 
 class TestSeriesDuality:
