@@ -14,22 +14,30 @@ written atomically.
 The four curve quantities all derive from the squared norm N and its xbar
 derivatives, so one (family, deformation, grid) table of (N, N', N'') per
 state is computed once per process and shared by the four curve figures.
+The table's series run in one vectorised loop (`tables.norm_table`); each
+table logs one DEBUG record on the ``polycs.figures`` logger with its
+cells, series, recurrence steps (its longest series) and terms summed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import logging
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import algebra, stats
+import numpy as np
+
+from . import stats, tables
 from .errors import DomainError
-from .states import CSFamily, cs_from_xbar
+from .states import CSFamily, cs_from_xbar, family_deformation
 from .stats import GridSpec
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_LABELS = (0.5, 1.0, 3.0, 8.0)
 HIGGS_COEFFS = (1.0, 2.0)
@@ -74,14 +82,6 @@ class FigureDef:
         if self.family is CSFamily.SU11_PCS and not self.higgs:
             return 0.5
         return DEFAULT_DIST_XBAR
-
-
-def _deformation(
-    family: CSFamily, coeffs: tuple[float, ...], label: float
-) -> algebra.DeformationSpec:
-    if family is CSFamily.SU2_PCS:
-        return algebra.su2_spec(coeffs, label)
-    return algebra.su11_spec(coeffs, label)
 
 
 def _build_catalog() -> dict[str, FigureDef]:
@@ -132,15 +132,20 @@ def _norm_table(
 
     xbar is the state's own, which differs from the grid value by rounding.
     """
-    deformations = [_deformation(family, coeffs, label) for label in grid.labels]
-    table = []
-    for xbar in grid.values():
-        cells = []
-        for deformation in deformations:
-            spec = cs_from_xbar(family, deformation, float(xbar))
-            cells.append((spec.xbar, *stats.norm_derivatives(spec)))
-        table.append(tuple(cells))
-    return tuple(table)
+    xbars, norms, terms = tables.norm_table(family, coeffs, grid)
+    _log.debug(
+        "norm table %s %s: %d cells, %d series, %d recurrence steps, %d terms",
+        family.value,
+        coeffs,
+        norms.shape[0] * norms.shape[1],
+        np.count_nonzero(terms),
+        terms.max(),
+        terms.sum(),
+    )
+    return tuple(
+        tuple((xbar, *cell) for cell in row)
+        for xbar, row in zip(xbars, norms.tolist(), strict=True)
+    )
 
 
 def _format_value(value: float) -> str:
@@ -176,7 +181,7 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
             n_cap = req.n_max
         columns = []
         for label in labels:
-            deformation = _deformation(fig.family, fig.coeffs, label)
+            deformation = family_deformation(fig.family, fig.coeffs, label)
             spec = cs_from_xbar(fig.family, deformation, xbar)
             columns.append(stats.photon_distribution(spec, n_max=n_cap, eps=req.eps))
         # Trim trailing all-zero rows (finite compact towers, xbar = 0).

@@ -56,6 +56,9 @@ from .states import CSFamily, CSSpec, coefficients, series_params
 # Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
 # holds two arrays of at most a few hundred floats.
 _GAUSS_LAGUERRE_RULES = 32
+# Berry connections kept in memory, one float per state: a caller that asks
+# for a state's connection and then its loop phase evaluates the series once.
+_CONNECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,13 @@ class LaplaceProbe:
         return tuple(r), tuple(q)
 
 
+@lru_cache(maxsize=_CONNECTIONS)
 def connection_coefficient(spec: CSSpec) -> float:
-    """The scalar A(xbar) multiplying (alpha* alpha_dot - alpha_dot* alpha)."""
+    """The scalar A(xbar) multiplying (alpha* alpha_dot - alpha_dot* alpha).
+
+    Memoised per state (CSSpec is frozen): `berry_phase_loop` on an equal
+    state reuses the value.
+    """
     d = spec.deformation
     factor1 = algebra.deformation_factorial(d, 1)  # [chi_1]! resp. [rho_1]!
     if spec.family is CSFamily.SU2_PCS:

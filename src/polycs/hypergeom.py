@@ -7,14 +7,23 @@ recurrence
 
     t_0 = 1,    t_{n+1} = t_n * prod_i (a_i + n) / prod_j (b_j + n) * x / (n + 1)
 
-with compensated (Kahan) accumulation in complex arithmetic: the compact-case
-series terminate but alternate in sign, and plain summation loses digits at
-large argument.
+with compensated (Kahan) accumulation: the compact-case series terminate but
+alternate in sign, and plain summation loses digits at large argument.
 
 Terminating series (an upper parameter equal to a non-positive integer) are
 summed exactly; otherwise summation stops once five consecutive terms fall
 below eps relative to the partial sum, which guards series whose early terms
 are not monotone.
+
+`pfq` runs one loop body on Python floats when every parameter has a zero
+imaginary part, and on complex numbers otherwise.  Both give the same bits:
+with zero imaginary parts, CPython's complex product (ac - bd, ad + bc) and
+its Smith quotient reduce to the same IEEE operations on the real parts, the
+extra terms being exact zeros.  The two can differ only in the sign of a
+zero and in which non-finite value (inf or nan) an overflow leaves.
+
+`polycs.tables.pfq_grid` runs the same recurrence over a whole table of
+series in one numpy loop, with the complex loop's bits.
 
 Argument-derivatives are computed by parameter shifting,
 
@@ -36,7 +45,7 @@ TERMINATION_TOL = 1e-12
 
 DEFAULT_EPS = 1e-14
 DEFAULT_MAX_TERMS = 10_000
-_SMALL_RUN = 5
+SMALL_RUN = 5
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,13 @@ def termination_index(params: SeriesParams) -> int | None:
     return min(hits) if hits else None
 
 
-def _validate(params: SeriesParams) -> int | None:
+def validate(params: SeriesParams) -> int | None:
+    """Termination index of the series (None if it does not terminate).
+
+    Raises DivergentSeries for a series that cannot converge: too many upper
+    parameters, |arg| >= 1 on a balanced series, or a lower-parameter pole
+    reached before termination.
+    """
     stop = termination_index(params)
     if stop is None:
         if len(params.numer) > len(params.denom) + 1:
@@ -124,21 +139,30 @@ def pfq(
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Evaluate pFq(numer; denom; arg) by the term recurrence."""
-    stop = _validate(params)
-    term = complex(1.0)
-    total = complex(1.0)
-    comp = complex(0.0)  # Kahan compensation
+    """Evaluate pFq(numer; denom; arg) by the term recurrence.
+
+    With all parameters real the loop runs on floats, with the bits of the
+    complex loop (see the module docstring).
+    """
+    stop = validate(params)
+    numer, denom, kind = params.numer, params.denom, complex
+    if all(v.imag == 0.0 for v in numer + denom):
+        numer = tuple(a.real for a in numer)
+        denom = tuple(b.real for b in denom)
+        kind = float
+    term = kind(1.0)
+    total = kind(1.0)
+    comp = kind(0.0)  # Kahan compensation
     small_run = 0
     n = 0
     while n < max_terms:
         if stop is not None and n >= stop:
-            return SeriesResult(total, n + 1, True, 0.0)
-        num = complex(1.0)
-        for a in params.numer:
+            return SeriesResult(complex(total), n + 1, True, 0.0)
+        num = kind(1.0)
+        for a in numer:
             num *= a + n
-        den = complex(1.0)
-        for b in params.denom:
+        den = kind(1.0)
+        for b in denom:
             den *= b + n
         term = term * num * (params.arg / (n + 1)) / den
         y = term - comp
@@ -148,8 +172,10 @@ def pfq(
         n += 1
         if abs(term) <= eps * abs(total):
             small_run += 1
-            if small_run >= _SMALL_RUN:
-                return SeriesResult(total, n + 1, False, abs(term) / abs(total))
+            if small_run >= SMALL_RUN:
+                return SeriesResult(
+                    complex(total), n + 1, False, abs(term) / abs(total)
+                )
         else:
             small_run = 0
     raise ConvergenceFailure(
@@ -157,18 +183,17 @@ def pfq(
     )
 
 
-def pfq_derivative(
-    params: SeriesParams,
-    order: int,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
-    """Order-th derivative of pFq with respect to its argument.
+def derivative_shift(
+    params: SeriesParams, order: int
+) -> tuple[complex, SeriesParams | None]:
+    """(prefactor, shifted) with d^order/dx^order pFq(params) equal to
+    prefactor * pFq(shifted).
 
-    Computed exactly through iterated parameter shifts.  A vanishing shift
-    prefactor (e.g. the upper parameter chain hitting zero on a terminating
-    series) short-circuits to zero without touching the shifted series, which
-    may no longer converge on its own.
+    Each shift multiplies the prefactor by prod a / prod b and moves every
+    parameter up by one.  A lower parameter on a pole raises ZeroDenominator.
+    A vanishing prefactor (the upper parameter chain hitting zero on a
+    terminating series) returns (0, None) at once: the shifted series, which
+    may no longer converge on its own, is not needed.
     """
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
@@ -187,8 +212,25 @@ def pfq_derivative(
             den *= b
         prefactor *= num / den
         if prefactor == 0.0:
-            return SeriesResult(complex(0.0), 0, True, 0.0)
+            return complex(0.0), None
         shifted = shift_params(shifted, 1)
+    return prefactor, shifted
+
+
+def pfq_derivative(
+    params: SeriesParams,
+    order: int,
+    eps: float = DEFAULT_EPS,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> SeriesResult:
+    """Order-th derivative of pFq with respect to its argument.
+
+    Computed exactly through iterated parameter shifts (`derivative_shift`);
+    a vanishing prefactor short-circuits to zero.
+    """
+    prefactor, shifted = derivative_shift(params, order)
+    if shifted is None:
+        return SeriesResult(complex(0.0), 0, True, 0.0)
     inner = pfq(shifted, eps=eps, max_terms=max_terms)
     return SeriesResult(
         prefactor * inner.value, inner.terms_used, inner.terminated, inner.est_error

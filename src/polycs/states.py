@@ -126,22 +126,38 @@ def cs_from_xbar(
     return CSSpec(family, deformation, complex(amp))
 
 
-def series_params(spec: CSSpec) -> SeriesParams:
-    """pFq parameters of the squared-norm series at this state's xbar."""
-    d = spec.deformation
+def family_deformation(
+    family: CSFamily, coeffs: tuple[float, ...], label: float
+) -> DeformationSpec:
+    """The deformation of the family's kind with these coefficients and label."""
+    if _FAMILY_KIND[family] is AlgebraKind.SU2_LIKE:
+        return algebra.su2_spec(coeffs, label)
+    return algebra.su11_spec(coeffs, label)
+
+
+def norm_series(
+    family: CSFamily, deformation: DeformationSpec, xbar: float
+) -> SeriesParams:
+    """pFq parameters of the family's squared-norm series at xbar."""
+    d = deformation
     roots = algebra.deformation_roots(d).roots
     shifted = tuple(1.0 - r for r in roots)
-    if spec.family is CSFamily.SU2_PCS:
-        return SeriesParams((-float(d.two_j),) + shifted, (), -spec.xbar)
+    if family is CSFamily.SU2_PCS:
+        return SeriesParams((-float(d.two_j),) + shifted, (), -xbar)
     two_k = 2.0 * d.rep_label
-    if spec.family is CSFamily.SU11_BGCS:
-        return SeriesParams((), (two_k,) + shifted, spec.xbar)
-    return SeriesParams((two_k,), shifted, spec.xbar)
+    if family is CSFamily.SU11_BGCS:
+        return SeriesParams((), (two_k,) + shifted, xbar)
+    return SeriesParams((two_k,), shifted, xbar)
 
 
-def arg_sign(spec: CSSpec) -> float:
+def series_params(spec: CSSpec) -> SeriesParams:
+    """pFq parameters of the squared-norm series at this state's xbar."""
+    return norm_series(spec.family, spec.deformation, spec.xbar)
+
+
+def arg_sign(family: CSFamily) -> float:
     """d(series argument)/d(xbar): -1 for the compact family, +1 otherwise."""
-    return -1.0 if spec.family is CSFamily.SU2_PCS else 1.0
+    return -1.0 if family is CSFamily.SU2_PCS else 1.0
 
 
 def normalization(spec: CSSpec, eps: float = 1e-14, max_terms: int = 10_000) -> float:

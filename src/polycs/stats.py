@@ -69,7 +69,7 @@ def norm_derivatives(spec: CSSpec) -> tuple[float, float, float]:
     Raises ConvergenceFailure when any of the three is not finite.
     """
     params = series_params(spec)
-    sign = arg_sign(spec)
+    sign = arg_sign(spec.family)
     n0 = pfq(params).value.real
     n1 = sign * pfq_derivative(params, 1).value.real
     n2 = pfq_derivative(params, 2).value.real

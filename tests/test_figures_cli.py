@@ -1,11 +1,12 @@
 import hashlib
 import json
+import logging
 import math
 from pathlib import Path
 
 import pytest
 
-from polycs import figures, stats
+from polycs import algebra, figures, stats, tables
 from polycs.algebra import higgs_su11
 from polycs.cli import main
 from polycs.errors import DomainError
@@ -139,19 +140,46 @@ class TestNormTable:
             assert hashlib.sha256(text.encode()).hexdigest() == want[fid], fid
 
     def test_one_evaluation_per_state(self, monkeypatch):
-        calls = []
-        original = stats.norm_derivatives
+        cells, solves = [], []
+        original_table = tables.norm_table
+        original_roots = algebra.deformation_roots
 
-        def counted(spec):
-            calls.append(spec)
-            return original(spec)
+        def counted_table(family, coeffs, grid):
+            cells.append(grid.points * len(grid.labels))
+            return original_table(family, coeffs, grid)
 
-        monkeypatch.setattr(stats, "norm_derivatives", counted)
+        def counted_roots(spec):
+            solves.append(spec.rep_label)
+            return original_roots(spec)
+
+        monkeypatch.setattr(tables, "norm_table", counted_table)
+        monkeypatch.setattr(algebra, "deformation_roots", counted_roots)
         figures._norm_table.cache_clear()
         grid = GridSpec(0.0, 2.0, 5, (0.5, 3.0))
         for quantity in CURVES:
             render_figure(FigureRequest(f"nsu11-bgcs-{quantity}", grid=grid))
-        assert len(calls) == 5 * 2
+        assert cells == [5 * 2]
+        assert solves == [0.5, 3.0]  # one root solve per label per table
+
+    def test_one_debug_record_per_table(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="polycs.figures")
+        figures._norm_table.cache_clear()
+        grid = GridSpec(0.0, 0.9, 4, (0.5, 3.0))
+        for quantity in CURVES:
+            render_figure(FigureRequest(f"su11-pcs-{quantity}", grid=grid))
+        _, _, terms = tables.norm_table(CSFamily.SU11_PCS, (1.0,), grid)
+        [record] = caplog.records
+        assert record.name == "polycs.figures"
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"norm table su11-pcs (1.0,): 8 cells, 24 series, "
+            f"{terms.max()} recurrence steps, {terms.sum()} terms"
+        )
+
+    def test_debug_record_silent_by_default(self, caplog):
+        figures._norm_table.cache_clear()
+        render_figure(FigureRequest("su2-mean", grid=GridSpec(0.0, 1.0, 3, (1.0,))))
+        assert caplog.records == []
 
     @pytest.mark.parametrize(
         "grid",

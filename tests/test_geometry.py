@@ -134,6 +134,27 @@ class TestBerryPhaseLoop:
                 want = -4.0 * math.pi * j * r * r / (1.0 + r * r)
                 assert gamma == pytest.approx(want, abs=1e-8)
 
+    def test_connection_evaluated_once_per_state(self, monkeypatch):
+        solves = []
+        original = algebra.deformation_roots
+
+        def counted(spec):
+            solves.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(algebra, "deformation_roots", counted)
+        connection_coefficient.cache_clear()
+        spec = CSSpec(CSFamily.SU11_PCS, higgs_su11(3.0), complex(0.7))
+        a_val = connection_coefficient(spec)
+        gamma = berry_phase_loop(spec, LoopSpec(0.7, -1.5))
+        assert len(solves) == 1
+        assert gamma == 4.0 * math.pi * a_val * 0.7**2
+        # an equal state built anew is the same key; another radius is not
+        connection_coefficient(CSSpec(CSFamily.SU11_PCS, higgs_su11(3.0), 0.7))
+        assert len(solves) == 1
+        berry_phase_loop(spec, LoopSpec(0.8, 1.0))
+        assert len(solves) == 2
+
     def test_small_radius_vanishes(self):
         for family, deformation in (
             (CSFamily.SU2_PCS, higgs_su2(1.0)),

@@ -10,6 +10,8 @@ from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11
 from polycs.errors import ConvergenceFailure, DivergentSeries, DomainError, ZeroDenominator
 from polycs.hypergeom import (
     SeriesParams,
+    SeriesResult,
+    derivative_shift,
     pfq,
     pfq_derivative,
     pochhammer,
@@ -17,6 +19,7 @@ from polycs.hypergeom import (
     termination_index,
 )
 from polycs.states import CSFamily, cs_from_xbar, series_params
+from polycs.tables import pfq_grid
 
 
 def naive_mpmath_sum(params, terms=400):
@@ -32,6 +35,147 @@ def naive_mpmath_sum(params, terms=400):
             term *= mpmath.mpc(params.arg) ** n / mpmath.factorial(n)
             total += term
         return complex(total)
+
+
+def reference_pfq(params, eps=1e-14, max_terms=10_000):
+    """The complex term loop of `pfq` before its float path: the bit oracle.
+
+    Callers pass valid parameters; validation is not part of the copy.
+    """
+    stop = termination_index(params)
+    term = complex(1.0)
+    total = complex(1.0)
+    comp = complex(0.0)
+    small_run = 0
+    n = 0
+    while n < max_terms:
+        if stop is not None and n >= stop:
+            return SeriesResult(total, n + 1, True, 0.0)
+        num = complex(1.0)
+        for a in params.numer:
+            num *= a + n
+        den = complex(1.0)
+        for b in params.denom:
+            den *= b + n
+        term = term * num * (params.arg / (n + 1)) / den
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        n += 1
+        if abs(term) <= eps * abs(total):
+            small_run += 1
+            if small_run >= 5:
+                return SeriesResult(total, n + 1, False, abs(term) / abs(total))
+        else:
+            small_run = 0
+    raise ConvergenceFailure("reference loop did not settle")
+
+
+@st.composite
+def valid_rows(draw, pairs):
+    """(numer, denom, args) of one valid parameter row and 1-4 arguments.
+
+    Terminating rows lead with an upper parameter -m; the others keep at
+    most one more upper than lower parameter, and balanced ones take
+    |arg| < 0.9.  With pairs=True the lower parameters hold a conjugate pair
+    and each further parameter may be one.
+    """
+
+    def block(count):
+        out = []
+        for _ in range(count):
+            if pairs and draw(st.booleans()):
+                w = complex(draw(st.floats(0.3, 3.0)), draw(st.floats(0.1, 2.0)))
+                out += [w, w.conjugate()]
+            else:
+                out.append(complex(draw(st.floats(0.3, 3.0))))
+        return out
+
+    terminating = draw(st.booleans())
+    numer = block(draw(st.integers(0, 1)))
+    denom = block(draw(st.integers(0, 2)))
+    if pairs:
+        w = complex(draw(st.floats(0.3, 3.0)), draw(st.floats(0.1, 2.0)))
+        denom += [w, w.conjugate()]
+    if terminating:
+        numer.insert(0, complex(-draw(st.integers(0, 12))))
+    elif len(numer) > len(denom) + 1:
+        numer = []
+    reach = 0.9 if not terminating and len(numer) == len(denom) + 1 else 6.0
+    args = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=4))
+    return tuple(numer), tuple(denom), args
+
+
+def bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+class TestPfqBitIdentity:
+    """`pfq` (float loop for real parameters) and `pfq_grid` (numpy real
+    pairs) against the complex reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["real", "conjugate-pairs"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_matches_reference(self, pairs, data):
+        numer, denom, args = data.draw(valid_rows(pairs))
+        for arg in args:
+            params = SeriesParams(numer, denom, arg)
+            got, want = pfq(params), reference_pfq(params)
+            assert got.value == want.value
+            assert got.value.real.hex() == want.value.real.hex()
+            assert got.terms_used == want.terms_used
+            assert got.terminated == want.terminated
+            assert got.est_error == want.est_error
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["real", "conjugate-pairs"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_matches_reference(self, pairs, data):
+        numer, denom, args = data.draw(valid_rows(pairs))
+        # a second row as the first derivative takes it, unless its prefactor vanishes
+        rows = [SeriesParams(numer, denom, 0.0)]
+        _, shifted = derivative_shift(rows[0], 1)
+        rows += [shifted] if shifted is not None else []
+        values_re, values_im, terms = pfq_grid(
+            np.array([r.numer for r in rows], dtype=complex).reshape(len(rows), len(numer)),
+            np.array([r.denom for r in rows], dtype=complex).reshape(len(rows), len(denom)),
+            np.array(args),
+        )
+        for g, arg in enumerate(args):
+            for r, row in enumerate(rows):
+                want = reference_pfq(SeriesParams(row.numer, row.denom, arg))
+                got = complex(values_re[g, r], values_im[g, r])
+                assert bits(got) == bits(want.value)
+                assert terms[g, r] == want.terms_used
+
+    def test_typed_errors(self):
+        with pytest.raises(DivergentSeries):
+            pfq(SeriesParams((0.5,), (), 1.5))
+        with pytest.raises(DivergentSeries):
+            pfq_grid(np.array([[0.5]]), np.zeros((1, 0)), np.array([0.2, -1.5]))
+        with pytest.raises(DivergentSeries):
+            pfq_grid(np.array([[0.5j, -0.5j]]), np.array([[-1.0]]), np.array([0.2]))
+        with pytest.raises(ZeroDenominator):
+            derivative_shift(SeriesParams((-1.0,), (-1.0,), 0.5), 2)
+        with pytest.raises(ZeroDenominator):
+            pfq_derivative(SeriesParams((1j, -1j), (-1.0 + 0j,), 0.5), 2)
+        for params in (SeriesParams((), (0.5,), 5.0), SeriesParams((), (0.5 + 1j, 0.5 - 1j), 5.0)):
+            with pytest.raises(ConvergenceFailure):
+                pfq(params, max_terms=3)
+            _, _, terms = pfq_grid(
+                np.zeros((1, 0)), np.array([params.denom]), np.array([0.0, params.arg]),
+                max_terms=3,
+            )
+            # at arg 0 every term is zero, so the series settles when five
+            # small terms have run (terms_used 6): past a cap of 3, within 6
+            assert terms.tolist() == [[0], [0]]
+            _, _, terms = pfq_grid(
+                np.zeros((1, 0)), np.array([params.denom]), np.array([0.0, params.arg]),
+                max_terms=6,
+            )
+            assert terms.tolist() == [[6], [0]]
 
 
 class TestPochhammer:
