@@ -22,8 +22,9 @@ its Smith quotient reduce to the same IEEE operations on the real parts, the
 extra terms being exact zeros.  The two can differ only in the sign of a
 zero and in which non-finite value (inf or nan) an overflow leaves.
 
-`polycs.tables.pfq_grid` runs the same recurrence over a whole table of
-series in one numpy loop, with the complex loop's bits.
+Given a `polycs.gridseries.SeriesGrid` (parameter rows x arguments), `pfq`
+runs every cell of the table in one numpy loop, with the complex loop's
+bits, and returns a `GridResult`.
 
 Argument-derivatives are computed by parameter shifting,
 
@@ -35,8 +36,12 @@ never by finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceFailure, DivergentSeries, DomainError, ZeroDenominator
+
+if TYPE_CHECKING:
+    from .gridseries import GridResult, SeriesGrid
 
 # An upper parameter counts as a non-positive integer (series terminator)
 # when within this distance of one; -2j is exact by construction, the
@@ -135,15 +140,21 @@ def shift_params(params: SeriesParams, steps: int = 1) -> SeriesParams:
 
 
 def pfq(
-    params: SeriesParams,
+    params: SeriesParams | SeriesGrid,
     eps: float = DEFAULT_EPS,
     max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+) -> SeriesResult | GridResult:
     """Evaluate pFq(numer; denom; arg) by the term recurrence.
 
     With all parameters real the loop runs on floats, with the bits of the
-    complex loop (see the module docstring).
+    complex loop (see the module docstring).  A SeriesGrid runs in one numpy
+    loop instead; a cell that does not settle within max_terms reports 0
+    terms there rather than raising.
     """
+    if not isinstance(params, SeriesParams):
+        from .gridseries import pfq_grid
+
+        return pfq_grid(params, eps, max_terms)
     stop = validate(params)
     numer, denom, kind = params.numer, params.denom, complex
     if all(v.imag == 0.0 for v in numer + denom):

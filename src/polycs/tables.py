@@ -3,18 +3,10 @@
 A curve figure needs (N, N', N'') at every grid point and label.  Per state
 that is three pFq series (the norm and its two parameter-shift derivatives),
 each a scalar `hypergeom.pfq` loop.  `norm_table` instead solves the
-deformation roots and the shift prefactors once per label and runs every
-series of the table (grid points x labels x the three shifts) in one numpy
-loop, `pfq_grid`, with a stop mask per cell; cells leave the active set as
-they terminate or settle.
-
-`pfq_grid` carries every value as a real pair and copies CPython's complex
-product (_Py_c_prod) and Smith quotient (_Py_c_quot) operation by
-operation, one ufunc call each, so that nothing can fuse into an FMA: each
-cell has the bits `pfq` gives it, for real parameters and for the conjugate
-root pairs of the Higgs deformations alike, and each table entry the bits of
-`stats.norm_derivatives`.  Single states keep the scalar loop, which is
-faster for three series.
+deformation roots and the shift prefactors once per label and hands every
+series of the table (grid points x labels x the three shifts) to `pfq` as one
+`SeriesGrid`, which runs them in one numpy loop (`polycs.gridseries`) with
+each state's bits.
 
 Only `polycs.figures` imports this module, so `import polycs` does not
 compile it.
@@ -25,147 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .hypergeom import (
-    DEFAULT_EPS,
-    DEFAULT_MAX_TERMS,
-    SMALL_RUN,
-    SeriesParams,
-    derivative_shift,
-    validate,
-)
+from .gridseries import SeriesGrid
+from .hypergeom import derivative_shift, pfq
 from .states import CSFamily, arg_sign, cs_from_xbar, family_deformation, norm_series
 from .stats import GridSpec
-
-
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product (_Py_c_prod) on real pairs."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _shifted_product(pairs, n):
-    """prod_i (re_i + n, im_i) as CPython's `acc = 1; acc *= a + n` loop.
-
-    The first product, (1, 0) * (u, v), is (u, v) exactly: u is never -0
-    (re + n with n >= 0), v never -0 (im carries + 0.0), and both are finite.
-    """
-    if not pairs:
-        return 1.0, 0.0
-    (re, im), rest = pairs[0], pairs[1:]
-    acc = (re + n, im)
-    for re, im in rest:
-        acc = _cmul(*acc, re + n, im)
-    return acc
-
-
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex quotient (_Py_c_quot) on real pairs.
-
-    Smith's algorithm divides through by the larger of |br| and |bi|.  Where
-    either is nan both branches give nan, as CPython does; a zero divisor
-    gives nan where CPython raises ZeroDivisionError.
-    """
-    ratio = bi / br
-    denom = br + bi * ratio
-    qr = (ar + ai * ratio) / denom
-    qi = (ai - ar * ratio) / denom
-    flip = np.abs(bi) > np.abs(br)
-    if flip.any():
-        ratio = br / bi
-        denom = br * ratio + bi
-        qr = np.where(flip, (ar * ratio + ai) / denom, qr)
-        qi = np.where(flip, (ai * ratio - ar) / denom, qi)
-    return qr, qi
-
-
-def pfq_grid(
-    numer: np.ndarray,
-    denom: np.ndarray,
-    args: np.ndarray,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pFq(numer[r]; denom[r]; args[g]) for every argument g and row r.
-
-    numer (R, p) and denom (R, q) hold one parameter row each; args (G,)
-    holds real arguments.  Returns the real parts, imaginary parts and terms
-    used, each of shape (G, R) and each equal to what `pfq` (at its default
-    eps) gives that cell.  terms_used is 0 where a series did not settle
-    within max_terms; the caller, which knows what a cell stands for, raises.
-
-    `validate` runs once per row, at the argument of largest modulus: its
-    one argument-dependent check (a balanced series needs |arg| < 1) fails
-    there if it fails at any argument of the row.  All cells step together,
-    and cells that terminate or settle leave the active set.
-    """
-    numer = np.asarray(numer, dtype=complex)
-    denom = np.asarray(denom, dtype=complex)
-    args = np.asarray(args, dtype=float)
-    n_args, n_rows = args.size, numer.shape[0]
-    widest = float(args[np.argmax(np.abs(args))]) if n_args else 0.0
-    stops = []
-    for a_row, b_row in zip(numer, denom, strict=True):
-        stop = validate(SeriesParams(tuple(a_row), tuple(b_row), widest))
-        stops.append(max_terms if stop is None else stop)
-
-    # One entry per cell in (argument, row) order.  Imaginary parts of the
-    # parameters carry the + 0.0 of CPython's complex + int.
-    def per_cell(row_values):
-        return np.tile(row_values, n_args)
-
-    cell = np.arange(n_args * n_rows)
-    stop = per_cell(np.array(stops, dtype=np.int64))
-    arg = np.repeat(args, n_rows)
-    upper = [(per_cell(col.real), per_cell(col.imag) + 0.0) for col in numer.T]
-    lower = [(per_cell(col.real), per_cell(col.imag) + 0.0) for col in denom.T]
-    term_re, term_im = np.ones(cell.size), np.zeros(cell.size)
-    total_re, total_im = np.ones(cell.size), np.zeros(cell.size)
-    comp_re, comp_im = np.zeros(cell.size), np.zeros(cell.size)
-    small_run = np.zeros(cell.size, dtype=np.int64)
-
-    out_re = np.zeros(n_args * n_rows)
-    out_im = np.zeros(n_args * n_rows)
-    terms = np.zeros(n_args * n_rows, dtype=np.int64)
-
-    def finish(done, used):
-        nonlocal cell, stop, arg, upper, lower, small_run
-        nonlocal term_re, term_im, total_re, total_im, comp_re, comp_im
-        out_re[cell[done]] = total_re[done]
-        out_im[cell[done]] = total_im[done]
-        terms[cell[done]] = used
-        keep = ~done
-        cell, stop, arg, small_run = cell[keep], stop[keep], arg[keep], small_run[keep]
-        upper = [(re[keep], im[keep]) for re, im in upper]
-        lower = [(re[keep], im[keep]) for re, im in lower]
-        term_re, term_im = term_re[keep], term_im[keep]
-        total_re, total_im = total_re[keep], total_im[keep]
-        comp_re, comp_im = comp_re[keep], comp_im[keep]
-
-    stop_points = set(stops)
-    n = 0
-    with np.errstate(all="ignore"):  # overflow surfaces as a non-finite value
-        while n < max_terms and cell.size:
-            if n in stop_points:
-                finish(stop <= n, n + 1)
-                if not cell.size:
-                    break
-            num_re, num_im = _shifted_product(upper, n)
-            den_re, den_im = _shifted_product(lower, n)
-            term_re, term_im = _cmul(term_re, term_im, num_re, num_im)
-            term_re, term_im = _cmul(term_re, term_im, arg / (n + 1), 0.0)
-            term_re, term_im = _cdiv(term_re, term_im, den_re, den_im)
-            y_re, y_im = term_re - comp_re, term_im - comp_im
-            t_re, t_im = total_re + y_re, total_im + y_im
-            comp_re, comp_im = (t_re - total_re) - y_re, (t_im - total_im) - y_im
-            total_re, total_im = t_re, t_im
-            n += 1
-            # abs(complex) is C's hypot in CPython, as np.hypot is in numpy
-            size = np.hypot(term_re, term_im)
-            small = size <= DEFAULT_EPS * np.hypot(total_re, total_im)
-            small_run = np.where(small, small_run + 1, 0)
-            settled = small_run >= SMALL_RUN
-            if settled.any():
-                finish(settled, n + 1)
-    shape = (n_args, n_rows)
-    return out_re.reshape(shape), out_im.reshape(shape), terms.reshape(shape)
 
 
 def norm_table(
@@ -179,7 +34,7 @@ def norm_table(
     series used (0 where a vanishing shift prefactor needs no series).
 
     Roots and shift prefactors are solved once per label, and all series of
-    the table run in one `pfq_grid` loop.  The checks are those of the scalar
+    the table run in one `pfq` call on a SeriesGrid.  The checks are those of the scalar
     path, raised in this order: DomainError for a bad xbar, ZeroDenominator
     and DivergentSeries per label, then ConvergenceFailure naming the xbar
     and label of the first cell whose series did not settle or whose triple
@@ -200,10 +55,8 @@ def norm_table(
                 rows.append((col, shift, prefactor))
                 numer.append(shifted.numer)
                 denom.append(shifted.denom)
-    args = sign * np.array(xbars)
-    values_re, values_im, used = pfq_grid(
-        np.array(numer, dtype=complex), np.array(denom, dtype=complex), args
-    )
+    result = pfq(SeriesGrid(tuple(numer), tuple(denom), tuple(sign * np.array(xbars))))
+    values_re, values_im, used = result.real, result.imag, result.cell_terms
 
     points, labels = len(xbars), len(deformations)
     norms = np.zeros((points, labels, 3))

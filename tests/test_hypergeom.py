@@ -19,7 +19,7 @@ from polycs.hypergeom import (
     termination_index,
 )
 from polycs.states import CSFamily, cs_from_xbar, series_params
-from polycs.tables import pfq_grid
+from polycs.gridseries import SeriesGrid
 
 
 def naive_mpmath_sum(params, terms=400):
@@ -112,8 +112,9 @@ def bits(value: complex) -> tuple[str, str]:
 
 
 class TestPfqBitIdentity:
-    """`pfq` (float loop for real parameters) and `pfq_grid` (numpy real
-    pairs) against the complex reference loop, bit for bit."""
+    """`pfq` on one series (float loop for real parameters) and on a
+    SeriesGrid (numpy real pairs) against the complex reference loop, bit
+    for bit."""
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["real", "conjugate-pairs"])
     @given(data=st.data())
@@ -138,25 +139,27 @@ class TestPfqBitIdentity:
         rows = [SeriesParams(numer, denom, 0.0)]
         _, shifted = derivative_shift(rows[0], 1)
         rows += [shifted] if shifted is not None else []
-        values_re, values_im, terms = pfq_grid(
-            np.array([r.numer for r in rows], dtype=complex).reshape(len(rows), len(numer)),
-            np.array([r.denom for r in rows], dtype=complex).reshape(len(rows), len(denom)),
-            np.array(args),
-        )
+        grid = SeriesGrid([r.numer for r in rows], [r.denom for r in rows], args)
+        result = pfq(grid)
+        want_terms = 0
         for g, arg in enumerate(args):
             for r, row in enumerate(rows):
                 want = reference_pfq(SeriesParams(row.numer, row.denom, arg))
-                got = complex(values_re[g, r], values_im[g, r])
+                got = complex(result.real[g, r], result.imag[g, r])
                 assert bits(got) == bits(want.value)
-                assert terms[g, r] == want.terms_used
+                assert result.cell_terms[g, r] == want.terms_used
+                want_terms += want.terms_used
+        assert result.terms_used == want_terms
 
     def test_typed_errors(self):
         with pytest.raises(DivergentSeries):
             pfq(SeriesParams((0.5,), (), 1.5))
         with pytest.raises(DivergentSeries):
-            pfq_grid(np.array([[0.5]]), np.zeros((1, 0)), np.array([0.2, -1.5]))
+            pfq(SeriesGrid([(0.5,)], [()], [0.2, -1.5]))
         with pytest.raises(DivergentSeries):
-            pfq_grid(np.array([[0.5j, -0.5j]]), np.array([[-1.0]]), np.array([0.2]))
+            pfq(SeriesGrid([(0.5j, -0.5j)], [(-1.0,)], [0.2]))
+        with pytest.raises(DomainError):
+            SeriesGrid([(0.5,), (0.5, 1.0)], [(), ()], [0.2])
         with pytest.raises(ZeroDenominator):
             derivative_shift(SeriesParams((-1.0,), (-1.0,), 0.5), 2)
         with pytest.raises(ZeroDenominator):
@@ -164,18 +167,11 @@ class TestPfqBitIdentity:
         for params in (SeriesParams((), (0.5,), 5.0), SeriesParams((), (0.5 + 1j, 0.5 - 1j), 5.0)):
             with pytest.raises(ConvergenceFailure):
                 pfq(params, max_terms=3)
-            _, _, terms = pfq_grid(
-                np.zeros((1, 0)), np.array([params.denom]), np.array([0.0, params.arg]),
-                max_terms=3,
-            )
+            grid = SeriesGrid([()], [params.denom], [0.0, params.arg])
             # at arg 0 every term is zero, so the series settles when five
             # small terms have run (terms_used 6): past a cap of 3, within 6
-            assert terms.tolist() == [[0], [0]]
-            _, _, terms = pfq_grid(
-                np.zeros((1, 0)), np.array([params.denom]), np.array([0.0, params.arg]),
-                max_terms=6,
-            )
-            assert terms.tolist() == [[6], [0]]
+            assert pfq(grid, max_terms=3).cell_terms.tolist() == [[0], [0]]
+            assert pfq(grid, max_terms=6).cell_terms.tolist() == [[6], [0]]
 
 
 class TestPochhammer:
