@@ -26,7 +26,7 @@ from .errors import (
     RootSolveFailure,
     UnitarityViolation,
 )
-from .states import CSFamily, CSSpec
+from .states import CSFamily, CSSpec, family_deformation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -41,14 +41,12 @@ _CONVERGENCE_ERRORS = (
 )
 
 
-def _parse_coeffs(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+    """Comma-separated floats; `what` names the list in the error message."""
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise DomainError(f"cannot parse coefficient list {text!r}") from exc
-    if not values:
-        raise DomainError("coefficient list is empty")
-    return values
+        raise DomainError(f"cannot parse {what} list {text!r}") from exc
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -59,13 +57,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"cannot parse grid {text!r}") from exc
-
-
-def _parse_labels(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse label list {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +129,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             lo, hi, n = _parse_grid(args.grid)
             grid = replace(grid, xbar_min=lo, xbar_max=hi, points=n)
         if args.labels is not None:
-            grid = replace(grid, labels=_parse_labels(args.labels))
+            grid = replace(grid, labels=_parse_floats(args.labels, "label"))
         request = replace(request, grid=grid)
     path = figures.write_figure(request)
     print(path)
@@ -148,7 +139,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _build_cs(args: argparse.Namespace) -> CSSpec:
     family = CSFamily(args.family)
     if args.coeffs:
-        coeffs = _parse_coeffs(args.coeffs)
+        coeffs = _parse_floats(args.coeffs, "coefficient")
         if args.p is not None and args.p != len(coeffs):
             raise DomainError(
                 f"--p {args.p} disagrees with {len(coeffs)} coefficients"
@@ -159,10 +150,7 @@ def _build_cs(args: argparse.Namespace) -> CSSpec:
         if p < 1:
             raise DomainError(f"--p must be positive, got {p}")
         coeffs = (1.0,) if p == 1 else (1.0,) * (p - 1) + (2.0,)
-    if family is CSFamily.SU2_PCS:
-        deformation = algebra.su2_spec(coeffs, args.label)
-    else:
-        deformation = algebra.su11_spec(coeffs, args.label)
+    deformation = family_deformation(family, coeffs, args.label)
     return CSSpec(family, deformation, complex(args.amplitude_re, args.amplitude_im))
 
 
@@ -198,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     extra = None
     if args.coeffs:
-        coeffs = _parse_coeffs(args.coeffs)
+        coeffs = _parse_floats(args.coeffs, "coefficient")
         extra = [
             algebra.su2_spec(coeffs, args.label),
             algebra.su11_spec(coeffs, args.label),

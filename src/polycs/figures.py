@@ -14,9 +14,12 @@ written atomically.
 The four curve quantities all derive from the squared norm N and its xbar
 derivatives, so one (family, deformation, grid) table of (N, N', N'') per
 state is computed once per process and shared by the four curve figures.
-The table's series run in one vectorised loop (`tables.norm_table`); each
-table logs one DEBUG record on the ``polycs.figures`` logger with its
-cells, series, recurrence steps (its longest series) and terms summed.
+A table solves the deformation roots and shift prefactors once per label
+and hands every series (grid points x labels x the three shifts) to `pfq`
+as one `SeriesGrid`, which runs them in one numpy loop
+(`polycs.gridseries`) with each state's bits.  Each table logs one DEBUG
+record on the ``polycs.figures`` logger with its cells, series, recurrence
+steps (its longest series) and terms summed.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import stats, tables
-from .errors import DomainError
-from .states import CSFamily, cs_from_xbar, family_deformation
+from . import stats
+from .errors import ConvergenceFailure, DomainError
+from .gridseries import SeriesGrid
+from .hypergeom import derivative_shift, pfq
+from .states import CSFamily, arg_sign, cs_from_xbar, family_deformation, norm_series
 from .stats import GridSpec
 
 _log = logging.getLogger(__name__)
@@ -71,11 +76,11 @@ class FigureDef:
     def is_distribution(self) -> bool:
         return self.quantity == "photdist"
 
-    def default_grid(self, labels: tuple[float, ...] = DEFAULT_LABELS) -> GridSpec:
+    def default_grid(self) -> GridSpec:
         # The linear noncompact displacement family only converges for z < 1.
         if self.family is CSFamily.SU11_PCS and not self.higgs:
-            return GridSpec(0.0, 0.95, DEFAULT_POINTS, labels)
-        return GridSpec(0.0, 10.0, DEFAULT_POINTS, labels)
+            return GridSpec(0.0, 0.95, DEFAULT_POINTS, DEFAULT_LABELS)
+        return GridSpec(0.0, 10.0, DEFAULT_POINTS, DEFAULT_LABELS)
 
     @property
     def default_dist_xbar(self) -> float:
@@ -130,17 +135,59 @@ def _norm_table(
 ) -> tuple[tuple[tuple[float, float, float, float], ...], ...]:
     """(xbar, N, N', N'') per grid point and label, shared by the curve figures.
 
-    xbar is the state's own, which differs from the grid value by rounding.
+    xbar is the state's own, which differs from the grid value by rounding;
+    (N, N', N'') has the bits `stats.norm_derivatives` gives that state.
+    The checks are those of the scalar path, raised in this order:
+    DomainError for a bad xbar, ZeroDenominator and DivergentSeries per
+    label, then ConvergenceFailure naming the xbar and label of the first
+    cell whose series did not settle or whose triple is not finite.
     """
-    xbars, norms, terms = tables.norm_table(family, coeffs, grid)
+    deformations = [family_deformation(family, coeffs, v) for v in grid.labels]
+    # A state's xbar depends on its deformation only through the shared
+    # leading coefficient.
+    first = deformations[0]
+    xbars = [cs_from_xbar(family, first, float(v)).xbar for v in grid.values()]
+    sign = arg_sign(family)
+    rows, numer, denom = [], [], []
+    for col, deformation in enumerate(deformations):
+        params = norm_series(family, deformation, 0.0)  # arguments come per cell
+        chain = [(complex(1.0), params)] + [derivative_shift(params, s) for s in (1, 2)]
+        for shift, (prefactor, shifted) in enumerate(chain):
+            if shifted is not None:
+                rows.append((col, shift, prefactor))
+                numer.append(shifted.numer)
+                denom.append(shifted.denom)
+    result = pfq(SeriesGrid(tuple(numer), tuple(denom), tuple(sign * np.array(xbars))))
+
+    norms = np.zeros((len(xbars), len(deformations), 3))
+    norms[:, :, 1] = sign * 0.0  # a vanishing prefactor gives N' = sign * 0
+    settled = np.ones(norms.shape[:2], dtype=bool)
+    for k, (col, shift, prefactor) in enumerate(rows):
+        value = result.real[:, k]
+        if shift:
+            value = prefactor.real * value - prefactor.imag * result.imag[:, k]
+        norms[:, col, shift] = sign * value if shift == 1 else value
+        settled[:, col] &= result.cell_terms[:, k] > 0
+
+    bad = ~settled | ~np.isfinite(norms).all(axis=2)
+    if bad.any():
+        point, col = np.unravel_index(np.argmax(bad), bad.shape)
+        reason = (
+            "norm derivatives not finite" if settled[point, col]
+            else "a norm series did not settle within its term cap"
+        )
+        raise ConvergenceFailure(
+            f"{reason} at xbar={xbars[point]:g}, label={grid.labels[col]:g}: "
+            f"{tuple(norms[point, col].tolist())}"
+        )
     _log.debug(
         "norm table %s %s: %d cells, %d series, %d recurrence steps, %d terms",
         family.value,
         coeffs,
-        norms.shape[0] * norms.shape[1],
-        np.count_nonzero(terms),
-        terms.max(),
-        terms.sum(),
+        settled.size,
+        result.cell_terms.size,
+        result.cell_terms.max(),
+        result.terms_used,
     )
     return tuple(
         tuple((xbar, *cell) for cell in row)

@@ -59,6 +59,8 @@ _GAUSS_LAGUERRE_RULES = 32
 # Berry connections kept in memory, one float per state: a caller that asks
 # for a state's connection and then its loop phase evaluates the series once.
 _CONNECTIONS = 64
+# Nodes of the rule behind gamma_quadrature_probe: exact for u^n up to n = 127.
+_GAMMA_PROBE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ def laplace_check(probe: LaplaceProbe) -> tuple[complex, complex, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
+def gamma_quadrature_probe(n: int, k: float) -> float:
     """Gamma(n + 2k) recovered through the same Gauss-Laguerre rule.
 
     This is the scaled integral representation Gamma(n+2k) =
@@ -286,5 +288,5 @@ def gamma_quadrature_probe(n: int, k: float, nodes: int = 64) -> float:
         gamma_2k = math.gamma(2.0 * k)
     except OverflowError:
         raise DomainError(f"Gamma(2k) is past float range at k={k:g}") from None
-    u, w = _gauss_laguerre(nodes, 2.0 * k - 1.0)
+    u, w = _gauss_laguerre(_GAMMA_PROBE_NODES, 2.0 * k - 1.0)
     return gamma_2k * float(np.dot(w, u ** float(n)))

@@ -12,7 +12,7 @@ root pairs alike.  The loop pays numpy's per-call cost on every step, so it
 only wins over the scalar loop when a step covers many cells: single states
 keep the scalar loop.
 
-`polycs.tables` imports this module and `pfq` loads it for a grid, so
+`polycs.figures` imports this module and `pfq` loads it for a grid, so
 `import polycs` does not compile it.
 """
 

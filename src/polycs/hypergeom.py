@@ -24,7 +24,8 @@ zero and in which non-finite value (inf or nan) an overflow leaves.
 
 Given a `polycs.gridseries.SeriesGrid` (parameter rows x arguments), `pfq`
 runs every cell of the table in one numpy loop, with the complex loop's
-bits, and returns a `GridResult`.
+bits, and returns a `GridResult`; the figure catalog's norm tables
+(`polycs.figures`) are evaluated this way.
 
 Argument-derivatives are computed by parameter shifting,
 

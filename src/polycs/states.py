@@ -73,6 +73,8 @@ class CSSpec:
                 "coherent states need a positive leading deformation "
                 "coefficient (non-negative series variable)"
             )
+        if not math.isfinite(self.xbar):
+            raise DomainError(f"xbar must be finite, got {self.xbar}")
         if (
             self.family is CSFamily.SU11_PCS
             and self.deformation.p == 1
@@ -85,7 +87,10 @@ class CSSpec:
     @property
     def xbar(self) -> float:
         """The non-negative series variable (x, y or z per family)."""
-        mag2 = abs(self.amplitude) ** 2
+        try:
+            mag2 = abs(self.amplitude) ** 2
+        except OverflowError:  # past float range; __post_init__ rejects it
+            mag2 = math.inf
         leading = self.deformation.coeffs[-1]
         if self.family is CSFamily.SU2_PCS:
             return leading * mag2
@@ -160,10 +165,9 @@ def arg_sign(family: CSFamily) -> float:
     return -1.0 if family is CSFamily.SU2_PCS else 1.0
 
 
-def normalization(spec: CSSpec, eps: float = 1e-14, max_terms: int = 10_000) -> float:
+def normalization(spec: CSSpec) -> float:
     """Squared-norm constant N(xbar) > 0 of the unnormalized expansion."""
-    result = pfq(series_params(spec), eps=eps, max_terms=max_terms)
-    return result.value.real
+    return pfq(series_params(spec)).value.real
 
 
 def _ratio(spec: CSSpec, n: int) -> complex:

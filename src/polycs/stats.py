@@ -47,6 +47,10 @@ class GridSpec:
     labels: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.xbar_min) and math.isfinite(self.xbar_max)):
+            raise DomainError(
+                f"xbar bounds must be finite, got {self.xbar_min}, {self.xbar_max}"
+            )
         if self.xbar_min < 0.0:
             raise DomainError(f"xbar_min must be non-negative, got {self.xbar_min}")
         if self.xbar_max < self.xbar_min:
@@ -87,6 +91,8 @@ def photon_distribution(
 
     With n_max given, the result is padded or trimmed to length n_max + 1.
     """
+    if n_max is not None and n_max < 0:
+        raise DomainError(f"n_max must be non-negative, got {n_max}")
     probs = np.abs(coefficients(spec, eps=eps).coeffs) ** 2
     if n_max is None:
         return probs

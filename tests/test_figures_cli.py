@@ -2,14 +2,15 @@ import hashlib
 import json
 import logging
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from polycs import algebra, figures, stats, tables
+from polycs import algebra, figures, stats
 from polycs.algebra import higgs_su11
 from polycs.cli import main
-from polycs.errors import DomainError
+from polycs.errors import ConvergenceFailure, DomainError
 from polycs.figures import (
     FIGURE_CATALOG,
     FigureRequest,
@@ -17,7 +18,7 @@ from polycs.figures import (
     render_figure,
     write_figure,
 )
-from polycs.states import CSFamily, cs_from_xbar
+from polycs.states import CSFamily, cs_from_xbar, family_deformation
 from polycs.stats import GridSpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,41 +140,51 @@ class TestNormTable:
             text = render_figure(FigureRequest(fid))
             assert hashlib.sha256(text.encode()).hexdigest() == want[fid], fid
 
-    def test_one_evaluation_per_state(self, monkeypatch):
-        cells, solves = [], []
-        original_table = tables.norm_table
-        original_roots = algebra.deformation_roots
+    @staticmethod
+    def _capture_grids(monkeypatch):
+        """(grid, result) of every `pfq` call the norm tables make."""
+        calls = []
+        original = figures.pfq
 
-        def counted_table(family, coeffs, grid):
-            cells.append(grid.points * len(grid.labels))
-            return original_table(family, coeffs, grid)
+        def captured(params, *args, **kwargs):
+            result = original(params, *args, **kwargs)
+            calls.append((params, result))
+            return result
+
+        monkeypatch.setattr(figures, "pfq", captured)
+        return calls
+
+    def test_one_evaluation_per_state(self, monkeypatch):
+        calls, solves = self._capture_grids(monkeypatch), []
+        original_roots = algebra.deformation_roots
 
         def counted_roots(spec):
             solves.append(spec.rep_label)
             return original_roots(spec)
 
-        monkeypatch.setattr(tables, "norm_table", counted_table)
         monkeypatch.setattr(algebra, "deformation_roots", counted_roots)
         figures._norm_table.cache_clear()
         grid = GridSpec(0.0, 2.0, 5, (0.5, 3.0))
         for quantity in CURVES:
             render_figure(FigureRequest(f"nsu11-bgcs-{quantity}", grid=grid))
-        assert cells == [5 * 2]
+        # one grid for the table: 5 points x (2 labels x 3 shifts)
+        assert [(len(g.args), len(g.numer)) for g, _ in calls] == [(5, 2 * 3)]
         assert solves == [0.5, 3.0]  # one root solve per label per table
 
-    def test_one_debug_record_per_table(self, caplog):
+    def test_one_debug_record_per_table(self, caplog, monkeypatch):
+        calls = self._capture_grids(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="polycs.figures")
         figures._norm_table.cache_clear()
         grid = GridSpec(0.0, 0.9, 4, (0.5, 3.0))
         for quantity in CURVES:
             render_figure(FigureRequest(f"su11-pcs-{quantity}", grid=grid))
-        _, _, terms = tables.norm_table(CSFamily.SU11_PCS, (1.0,), grid)
+        [(_, result)] = calls
         [record] = caplog.records
         assert record.name == "polycs.figures"
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == (
             f"norm table su11-pcs (1.0,): 8 cells, 24 series, "
-            f"{terms.max()} recurrence steps, {terms.sum()} terms"
+            f"{result.cell_terms.max()} recurrence steps, {result.terms_used} terms"
         )
 
     def test_debug_record_silent_by_default(self, caplog):
@@ -203,6 +214,36 @@ class TestNormTable:
             for label, value in zip(grid.labels, row[1:]):
                 spec = cs_from_xbar(CSFamily.SU11_BGCS, higgs_su11(label), row[0])
                 assert value == stats.mean_photon(spec)
+
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0), (0.5, -1.0, 2.0)],
+                             ids=["linear", "higgs", "p3"])
+    @pytest.mark.parametrize("family", list(CSFamily), ids=lambda f: f.value)
+    def test_bits_match_norm_derivatives(self, family, coeffs):
+        """The batched table against `norm_derivatives`, state by state."""
+        top = 0.9 if family is CSFamily.SU11_PCS and coeffs == (1.0,) else 6.0
+        grid = GridSpec(0.0, top, 7, (0.5, 1.0, 2.5, 8.0))
+        table = figures._norm_table.__wrapped__(family, coeffs, grid)
+        assert [len(row) for row in table] == [4] * 7
+        for point, value in enumerate(grid.values()):
+            for col, label in enumerate(grid.labels):
+                spec = cs_from_xbar(family, family_deformation(family, coeffs, label),
+                                    float(value))
+                xbar, *norms = table[point][col]
+                assert xbar == spec.xbar
+                want = [v.hex() for v in stats.norm_derivatives(spec)]
+                assert [v.hex() for v in norms] == want
+
+    def test_unsettled_cell_is_named(self):
+        # 1F0(1; ; z) = 1/(1-z) needs ~3e5 terms at z = 0.9999; z = 0.5 settles
+        grid = GridSpec(0.5, 0.9999, 2, (0.5,))
+        with pytest.raises(ConvergenceFailure, match=r"xbar=0\.9999, label=0\.5"):
+            figures._norm_table.__wrapped__(CSFamily.SU11_PCS, (1.0,), grid)
+
+    def test_non_finite_cell_is_named(self):
+        # (1 + x)^400 at x = 1e4 leaves float range; x = 1 does not
+        grid = GridSpec(1.0, 1e4, 2, (1.0, 200.0))
+        with pytest.raises(ConvergenceFailure, match=r"not finite at xbar=10000, label=200"):
+            figures._norm_table.__wrapped__(CSFamily.SU2_PCS, (1.0,), grid)
 
 
 class TestWriteFigure:
@@ -347,6 +388,48 @@ class TestCLI:
     def test_figure_bad_grid_exit_2(self, capsys):
         code = main(["figure", "su11-pcs-mandel", "--grid", "0:2:10"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["su2-photdist", "--nmax", "-1"],
+            ["su2-photdist", "--nmax", "-2"],
+            ["su2-photdist", "--xbar", "nan"],
+            ["su2-photdist", "--xbar", "inf"],
+            ["su2-mean", "--grid", "0:nan:5"],
+            ["su2-mean", "--grid", "0:inf:5"],
+        ],
+        ids=["nmax-1", "nmax-2", "xbar-nan", "xbar-inf", "grid-nan", "grid-inf"],
+    )
+    def test_figure_bad_input_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["figure", *argv, "--out", str(out)])
+        assert code == 2
+        assert "error: DomainError: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "--nmax", "-2"],
+            ["--nmax", "-1"],
+            ["--amplitude-re", "nan"],
+            ["--amplitude-re", "1e200"],
+            ["--amplitude-im", "inf"],
+        ],
+        ids=["json-nmax-2", "nmax-1", "re-nan", "re-overflows", "im-inf"],
+    )
+    def test_stats_bad_input_exit_2(self, capsys, argv):
+        base = ["stats", "--family", "su2-pcs", "--label", "1", "--amplitude-re", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(base + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: DomainError: " in captured.err
 
     def test_figure_list(self, capsys):
         code = main(["figure", "--list"])

@@ -39,6 +39,18 @@ class TestCSSpec:
         with pytest.raises(DomainError):
             CSSpec(CSFamily.SU11_PCS, linear_su11(1.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "amplitude", [math.nan, math.inf, complex(0.0, math.nan), 1e200],
+        ids=["nan", "inf", "imag-nan", "square-overflows"],
+    )
+    @pytest.mark.parametrize("family", list(CSFamily), ids=lambda f: f.value)
+    def test_non_finite_xbar_rejected(self, family, amplitude):
+        deformation = linear_su2(1.0) if family is CSFamily.SU2_PCS else higgs_su11(1.0)
+        with pytest.raises(DomainError, match="xbar must be finite"):
+            CSSpec(family, deformation, amplitude)
+        with pytest.raises(DomainError, match="xbar must be finite"):
+            cs_from_xbar(family, deformation, math.nan)
+
     def test_series_variable_mapping(self):
         # x = c_p |zeta|^2, y = |xi|^2 / c_p, z = |eta|^2 / c_p
         assert CSSpec(CSFamily.SU2_PCS, higgs_su2(1.0), 1.5).xbar == pytest.approx(4.5)

@@ -115,6 +115,14 @@ class TestPhotonDistribution:
             spec = cs_from_xbar(family, builder(3.0), xbar)
             assert abs(np.sum(photon_distribution(spec)) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_negative_n_max_rejected(self, n_max):
+        from polycs.errors import DomainError
+
+        spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(1.0), 1.0)
+        with pytest.raises(DomainError, match="n_max"):
+            photon_distribution(spec, n_max=n_max)
+
 
 class TestMeanPhoton:
     def test_linear_su2(self):
@@ -365,3 +373,10 @@ class TestGridSpec:
 
         with pytest.raises(DomainError):
             GridSpec(0.0, 1.0, 5, ())
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        from polycs.errors import DomainError
+
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(*bounds, 3, (1.0,))
