@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,14 @@ class DeformationSpec:
             raise DomainError(
                 f"expected {self.p} coefficients, got {len(self.coeffs)}"
             )
-        if any(c == 0.0 for c in self.coeffs):
-            raise DomainError("all deformation coefficients must be nonzero")
-        if self.rep_label <= 0.0:
-            raise DomainError("representation label must be positive")
+        if not all(c != 0.0 and math.isfinite(c) for c in self.coeffs):
+            raise DomainError(
+                f"deformation coefficients must be finite and nonzero, got {self.coeffs}"
+            )
+        if not 0.0 < self.rep_label < math.inf:
+            raise DomainError(
+                f"representation label must be positive and finite, got {self.rep_label}"
+            )
         if self.kind is AlgebraKind.SU2_LIKE:
             two_j = 2.0 * self.rep_label
             if abs(two_j - round(two_j)) > _HALF_INT_TOL:
@@ -322,14 +327,14 @@ def factored_deformation_factor(rootset: RootSet, n: float) -> complex:
     return acc
 
 
-def higgs_su2(j: float, alpha2: float = 2.0) -> DeformationSpec:
-    """Cubic compact deformation with the conventional (1, alpha2) coefficients."""
-    return su2_spec((1.0, alpha2), j)
+def higgs_su2(j: float) -> DeformationSpec:
+    """Cubic compact deformation with the conventional (1, 2) coefficients."""
+    return su2_spec((1.0, 2.0), j)
 
 
-def higgs_su11(k: float, beta2: float = 2.0) -> DeformationSpec:
-    """Cubic noncompact deformation with the conventional (1, beta2) coefficients."""
-    return su11_spec((1.0, beta2), k)
+def higgs_su11(k: float) -> DeformationSpec:
+    """Cubic noncompact deformation with the conventional (1, 2) coefficients."""
+    return su11_spec((1.0, 2.0), k)
 
 
 def linear_su2(j: float) -> DeformationSpec:

@@ -24,7 +24,6 @@ from .errors import (
     PolycsError,
     QuadratureFailure,
     RootSolveFailure,
-    UnitarityViolation,
 )
 from .states import CSFamily, CSSpec, family_deformation
 
@@ -215,14 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "stats":
             return _cmd_stats(args)
         return _cmd_verify(args)
-    except (DomainError, UnitarityViolation) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except PolycsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, _CONVERGENCE_ERRORS):
+            return EXIT_NO_CONVERGENCE
         return EXIT_BAD_INPUT
 
 

@@ -5,18 +5,15 @@ Berry connection.  For every family the exact overlap derivative collapses to
 
     <psi | d/dt | psi> = A(xbar) (alpha* dalpha/dt - dalpha*/dt alpha),
 
-with a real scalar A(xbar) built from the one-step-shifted norm series over
-the unshifted one:
-
-    SU2_PCS    A = (2j [chi_1]! / 2)     * F(params+1) / F(params)
-    SU11_BGCS  A = 1 / (2 (2k) [rho_1]!) * F(params+1) / F(params)
-    SU11_PCS   A = (2k) / (2 [rho_1]!)   * F(params+1) / F(params)
+with the real scalar A = (1/2) (dxbar/d|alpha|^2) N'/N, read from the same
+norm N(xbar) and its exact parameter-shift derivative as the photon
+statistics (dxbar/d|alpha|^2 = c_p for su(2) PCS, 1/c_p for su(1,1)).
 
 The geometric phase over a closed amplitude loop is gamma =
 i * integral_0^T <psi|d/dt|psi> dt.  On a circle of radius r, xbar and with
-it A are constant, so gamma = -4 pi A r^2 times the traversal sign in closed
-form, which for the linear compact family reproduces the classical
--4 pi j r^2 / (1 + r^2).
+it A are constant, so gamma = -4 pi A r^2 = -2 pi <n> times the traversal
+sign in closed form, which for the linear compact family reproduces the
+classical -4 pi j r^2 / (1 + r^2).
 
 Laplace bridge.  A normalized tower vector c defines two entire series, one
 on the eigenstate-family weights (F) and one on the displacement-family
@@ -50,8 +47,8 @@ import numpy as np
 from . import algebra
 from .algebra import DeformationSpec
 from .errors import ConvergenceFailure, DomainError, QuadratureFailure
-from .hypergeom import pfq, shift_params
-from .states import CSFamily, CSSpec, coefficients, series_params
+from .hypergeom import pfq, pfq_derivative
+from .states import CSFamily, CSSpec, arg_sign, coefficients, series_params
 
 # Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
 # holds two arrays of at most a few hundred floats.
@@ -123,27 +120,22 @@ class LaplaceProbe:
 
 @lru_cache(maxsize=_CONNECTIONS)
 def connection_coefficient(spec: CSSpec) -> float:
-    """The scalar A(xbar) multiplying (alpha* alpha_dot - alpha_dot* alpha).
+    """A = (1/2) (dxbar/d|alpha|^2) N'/N, the scalar multiplying
+    (alpha* alpha_dot - alpha_dot* alpha), by the route of norm_derivatives.
 
     Memoised per state (CSSpec is frozen): `berry_phase_loop` on an equal
     state reuses the value.
     """
-    d = spec.deformation
-    factor1 = algebra.deformation_factorial(d, 1)  # [chi_1]! resp. [rho_1]!
-    if spec.family is CSFamily.SU2_PCS:
-        prefactor = d.two_j * factor1 / 2.0
-    elif spec.family is CSFamily.SU11_BGCS:
-        prefactor = 1.0 / (2.0 * (2.0 * d.rep_label) * factor1)
-    else:
-        prefactor = (2.0 * d.rep_label) / (2.0 * factor1)
     params = series_params(spec)
-    base = pfq(params).value.real
-    shifted = pfq(shift_params(params, 1)).value.real
-    a_val = prefactor * shifted / base
-    if not (math.isfinite(base) and math.isfinite(shifted) and math.isfinite(a_val)):
+    n0 = pfq(params).value.real
+    n1 = arg_sign(spec.family) * pfq_derivative(params, 1).value.real
+    leading = spec.deformation.coeffs[-1]
+    jacobian = leading if spec.family is CSFamily.SU2_PCS else 1.0 / leading
+    a_val = 0.5 * jacobian * n1 / n0
+    if not (math.isfinite(n0) and math.isfinite(n1) and math.isfinite(a_val)):
         raise ConvergenceFailure(
             f"connection not finite at xbar={spec.xbar:g}: "
-            f"series {base} and shifted {shifted} give A = {a_val}"
+            f"N = {n0} and N' = {n1} give A = {a_val}"
         )
     return a_val
 
@@ -163,21 +155,18 @@ def berry_phase_loop(spec_template: CSSpec, loop: LoopSpec) -> float:
     return -4.0 * math.pi * a_val * loop.radius**2 * sign
 
 
-def overlap_derivative_fd(
-    spec: CSSpec, velocity: complex, dt: float | None = None
-) -> complex:
+def overlap_derivative_fd(spec: CSSpec, velocity: complex) -> complex:
     """Finite-difference oracle for <psi | d/dt | psi> at amplitude velocity.
 
-    Central difference of the normalized coefficient vectors; matches
+    Central difference of the normalized coefficient vectors, over a step
+    that moves the amplitude by 1e-5 of max(|alpha|, 1e-3); matches
     connection_coefficient(spec) * (alpha* v - v* alpha) up to O(dt^2) and
     the truncation tails.
     """
     velocity = complex(velocity)
     if velocity == 0.0:
         return complex(0.0)
-    if dt is None:
-        scale = max(abs(spec.amplitude), 1e-3)
-        dt = 1e-5 * scale / abs(velocity)
+    dt = 1e-5 * max(abs(spec.amplitude), 1e-3) / abs(velocity)
     center = coefficients(spec).coeffs
     plus = coefficients(
         CSSpec(spec.family, spec.deformation, spec.amplitude + velocity * dt)

@@ -131,11 +131,11 @@ def validate(params: SeriesParams) -> int | None:
     return stop
 
 
-def shift_params(params: SeriesParams, steps: int = 1) -> SeriesParams:
-    """All parameters moved up by `steps`, argument unchanged."""
+def shift_params(params: SeriesParams) -> SeriesParams:
+    """All parameters moved up by one, argument unchanged."""
     return SeriesParams(
-        tuple(a + steps for a in params.numer),
-        tuple(b + steps for b in params.denom),
+        tuple(a + 1 for a in params.numer),
+        tuple(b + 1 for b in params.denom),
         params.arg,
     )
 
@@ -225,16 +225,11 @@ def derivative_shift(
         prefactor *= num / den
         if prefactor == 0.0:
             return complex(0.0), None
-        shifted = shift_params(shifted, 1)
+        shifted = shift_params(shifted)
     return prefactor, shifted
 
 
-def pfq_derivative(
-    params: SeriesParams,
-    order: int,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def pfq_derivative(params: SeriesParams, order: int) -> SeriesResult:
     """Order-th derivative of pFq with respect to its argument.
 
     Computed exactly through iterated parameter shifts (`derivative_shift`);
@@ -243,7 +238,7 @@ def pfq_derivative(
     prefactor, shifted = derivative_shift(params, order)
     if shifted is None:
         return SeriesResult(complex(0.0), 0, True, 0.0)
-    inner = pfq(shifted, eps=eps, max_terms=max_terms)
+    inner = pfq(shifted)
     return SeriesResult(
         prefactor * inner.value, inner.terms_used, inner.terminated, inner.est_error
     )

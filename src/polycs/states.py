@@ -38,6 +38,7 @@ from .hypergeom import SeriesParams, pfq
 
 _RATIO_CAP = 0.999  # truncation requires the local term ratio below this
 _RESCALE_AT = 1e150
+_MAX_COEFFS = 10_000  # recurrence steps before the noncompact tower gives up
 
 
 class CSFamily(enum.Enum):
@@ -181,15 +182,15 @@ def _ratio(spec: CSSpec, n: int) -> complex:
     return spec.amplitude * (2.0 * d.rep_label + n) / step
 
 
-def coefficients(
-    spec: CSSpec, eps: float = 1e-12, max_terms: int = 10_000
-) -> CoefficientVector:
+def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     """Normalized coefficient vector of the state.
 
     Compact states keep the full tower (truncation = 2j exactly).  Noncompact
-    states grow until the last coefficient drops below eps of the running
-    norm while the local ratio signals decay.
+    states grow until the last coefficient drops below eps (finite, >= 0) of
+    the running norm while the local ratio signals decay.
     """
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
     if spec.family is CSFamily.SU2_PCS:
         dim = spec.deformation.dimension
         c = np.zeros(dim, dtype=complex)
@@ -208,6 +209,7 @@ def coefficients(
     sumsq = 1.0
     recent: list[float] = []
     n = 0
+    max_terms = _MAX_COEFFS  # a local: the loop compares against it every step
     while n < max_terms:
         ratio = _ratio(spec, n)
         nxt = coeffs[-1] * ratio
@@ -264,11 +266,12 @@ def apply_raising(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVec
     return CoefficientVector(out, size - 1, v.tail_bound)
 
 
-def bg_eigen_residual(spec: CSSpec, eps: float = 1e-12) -> float:
-    """Norm of (K_- - xi) applied to the truncated lowering eigenstate."""
+def bg_eigen_residual(spec: CSSpec) -> float:
+    """Norm of (K_- - xi) applied to the lowering eigenstate, truncated at the
+    default eps."""
     if spec.family is not CSFamily.SU11_BGCS:
         raise DomainError("eigenstate residual is defined for the BGCS family")
-    v = coefficients(spec, eps=eps)
+    v = coefficients(spec)
     lowered = apply_lowering(spec.deformation, v)
     padded = np.zeros(v.coeffs.size, dtype=complex)
     padded[: lowered.coeffs.size] = lowered.coeffs

@@ -24,6 +24,10 @@ from .errors import ConvergenceFailure, DegenerateInput, DomainError
 from .hypergeom import pfq, pfq_derivative
 from .states import CoefficientVector, CSSpec, arg_sign, coefficients, series_params
 
+# Largest xbar grid a GridSpec accepts: 500 times the figure catalog's 200
+# points, and refused before any array is allocated.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class StatRecord:
@@ -55,15 +59,15 @@ class GridSpec:
             raise DomainError(f"xbar_min must be non-negative, got {self.xbar_min}")
         if self.xbar_max < self.xbar_min:
             raise DomainError("xbar_max must be >= xbar_min")
-        if self.points < 1:
-            raise DomainError(f"points must be >= 1, got {self.points}")
+        if not 1 <= self.points <= MAX_GRID_POINTS:
+            raise DomainError(
+                f"points must be in 1..{MAX_GRID_POINTS}, got {self.points}"
+            )
         if not self.labels:
             raise DomainError("labels must be nonempty")
         object.__setattr__(self, "labels", tuple(float(v) for v in self.labels))
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.xbar_min])
         return np.linspace(self.xbar_min, self.xbar_max, self.points)
 
 

@@ -332,7 +332,7 @@ def suite_berry() -> list[CheckResult]:
                 for phase in (0.0, 2.2):
                     xi = magnitude * complex(math.cos(phase), math.sin(phase))
                     spec = CSSpec(CSFamily.SU11_BGCS, build(k), xi)
-                    err = max(err, bg_eigen_residual(spec, eps=1e-12))
+                    err = max(err, bg_eigen_residual(spec))
     results.append(CheckResult("states/bgcs-eigen-residual", err < 1e-9, err, 1e-9))
     return results
 

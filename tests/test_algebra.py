@@ -320,3 +320,13 @@ class TestSpecValidation:
     def test_rejects_coeff_count_mismatch(self):
         with pytest.raises(DomainError):
             DeformationSpec(AlgebraKind.SU2_LIKE, 2, (1.0,), 1.0)
+
+    @pytest.mark.parametrize("kind", list(AlgebraKind))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_label_and_coefficient(self, kind, bad):
+        with pytest.raises(DomainError, match="label must be positive and finite"):
+            DeformationSpec(kind, 1, (1.0,), bad)
+        with pytest.raises(DomainError, match="coefficients must be finite and nonzero"):
+            DeformationSpec(kind, 2, (bad, 2.0), 1.0)
+        with pytest.raises(DomainError, match="coefficients must be finite and nonzero"):
+            DeformationSpec(kind, 2, (1.0, bad), 1.0)

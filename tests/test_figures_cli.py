@@ -398,8 +398,23 @@ class TestCLI:
             ["su2-photdist", "--xbar", "inf"],
             ["su2-mean", "--grid", "0:nan:5"],
             ["su2-mean", "--grid", "0:inf:5"],
+            ["su2-mean", "--grid", "0:1:100000000000"],
+            ["su2-mean", "--labels", "nan"],
+            ["su11-bgcs-mean", "--labels", "inf"],
+            ["su11-bgcs-photdist", "--eps", "nan"],
         ],
-        ids=["nmax-1", "nmax-2", "xbar-nan", "xbar-inf", "grid-nan", "grid-inf"],
+        ids=[
+            "nmax-1",
+            "nmax-2",
+            "xbar-nan",
+            "xbar-inf",
+            "grid-nan",
+            "grid-inf",
+            "grid-points-huge",
+            "labels-nan",
+            "bgcs-labels-inf",
+            "bgcs-eps-nan",
+        ],
     )
     def test_figure_bad_input_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "f.csv"
@@ -418,8 +433,28 @@ class TestCLI:
             ["--amplitude-re", "nan"],
             ["--amplitude-re", "1e200"],
             ["--amplitude-im", "inf"],
+            ["--label", "nan"],
+            ["--coeffs", "nan,2"],
+            ["--family", "su11-bgcs", "--coeffs", "nan,2"],
+            ["--family", "su11-bgcs", "--label", "inf"],
+            ["--family", "su11-bgcs", "--eps", "nan"],
+            ["--family", "su11-bgcs", "--eps", "inf"],
+            ["--family", "su11-bgcs", "--eps=-1e-12"],
         ],
-        ids=["json-nmax-2", "nmax-1", "re-nan", "re-overflows", "im-inf"],
+        ids=[
+            "json-nmax-2",
+            "nmax-1",
+            "re-nan",
+            "re-overflows",
+            "im-inf",
+            "label-nan",
+            "coeffs-nan",
+            "bgcs-coeffs-nan",
+            "bgcs-label-inf",
+            "bgcs-eps-nan",
+            "bgcs-eps-inf",
+            "bgcs-eps-negative",
+        ],
     )
     def test_stats_bad_input_exit_2(self, capsys, argv):
         base = ["stats", "--family", "su2-pcs", "--label", "1", "--amplitude-re", "1"]

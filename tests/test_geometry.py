@@ -6,7 +6,12 @@ import pytest
 
 from polycs import algebra, geometry
 from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11, su2_spec
-from polycs.errors import ConvergenceFailure, DomainError, QuadratureFailure
+from polycs.errors import (
+    ConvergenceFailure,
+    DivergentSeries,
+    DomainError,
+    QuadratureFailure,
+)
 from polycs.geometry import (
     LaplaceProbe,
     LoopSpec,
@@ -59,8 +64,8 @@ class TestConnectionCoefficient:
                 )
 
     def test_higgs_su2_two_level_at_origin(self):
-        # prefactor (2j [chi_1]!/2) = 1 at j=1/2, alpha2=2; the shifted series
-        # is 1, and N = 1 + x gives A = 1/(1+x) -> 1 at x = 0
+        # N = 1 + x at j=1/2, alpha2=2 (N' = 2j [chi_1]!/c_2 = 1), so
+        # A = (c_2/2) N'/N = 1/(1+x) -> 1 at x = 0
         spec = CSSpec(CSFamily.SU2_PCS, higgs_su2(0.5), 0.0)
         assert connection_coefficient(spec) == pytest.approx(1.0, rel=1e-14)
 
@@ -76,8 +81,8 @@ class TestConnectionCoefficient:
         assert connection_coefficient(spec) == pytest.approx(0.5, rel=1e-14)
 
     def test_shifted_ratio_reality(self):
-        """The shifted/unshifted series ratio entering the connection is real
-        to rounding for conjugate-paired parameters."""
+        """The shifted/unshifted series ratio entering N'/N, and with it the
+        connection, is real to rounding for conjugate-paired parameters."""
         from polycs.hypergeom import pfq, shift_params
         from polycs.states import series_params
 
@@ -88,12 +93,12 @@ class TestConnectionCoefficient:
         ):
             spec = CSSpec(family, deformation, 1.4)
             params = series_params(spec)
-            ratio = pfq(shift_params(params, 1)).value / pfq(params).value
+            ratio = pfq(shift_params(params)).value / pfq(params).value
             assert abs(ratio.imag) < 1e-10 * abs(ratio)
 
     def test_matches_norm_log_derivative(self):
-        """A equals (dxbar/d|amp|^2) N'/(2N) for every family: an independent
-        route through the statistics layer."""
+        """A equals (dxbar/d|amp|^2) N'/(2N) for every family: geometry and
+        the statistics layer share one route to N and N'."""
         from polycs.stats import norm_derivatives
 
         cases = [
@@ -111,6 +116,16 @@ class TestConnectionCoefficient:
             jacobian = leading if family is CSFamily.SU2_PCS else 1.0 / leading
             want = jacobian * n1 / (2.0 * n0)
             assert connection_coefficient(spec) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("family", [CSFamily.SU11_BGCS, CSFamily.SU11_PCS])
+    def test_pole_at_rho_1_is_divergent(self, family):
+        # coefficients (-2, 1) at k = 1 give rho_1 = 0: the norm series has a
+        # lower parameter on a pole, typed as norm_derivatives types it
+        spec = CSSpec(family, algebra.su11_spec((-2.0, 1.0), 1.0), 0.5)
+        with pytest.raises(DivergentSeries):
+            connection_coefficient(spec)
+        with pytest.raises(DivergentSeries):
+            berry_phase_loop(spec, LoopSpec(0.5, 1.0))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_series_is_typed(self):

@@ -347,7 +347,7 @@ class TestPfqDerivative:
 class TestShiftParams:
     def test_shifts_all_entries(self):
         params = SeriesParams((-2.0, 1j), (3.0,), -0.5)
-        shifted = shift_params(params, 2)
+        shifted = shift_params(shift_params(params))
         assert shifted.numer == (0.0 + 0j, 2.0 + 1j)
         assert shifted.denom == (5.0 + 0j,)
         assert shifted.arg == -0.5

@@ -162,6 +162,20 @@ class TestCoefficients:
         assert vec.tail_bound < 1e-9
         assert abs(vec.coeffs[-1]) <= vec.tail_bound
 
+    @pytest.mark.parametrize("family", list(CSFamily))
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-12])
+    def test_bad_eps_rejected(self, family, eps):
+        deformation = higgs_su2(1.0) if family is CSFamily.SU2_PCS else higgs_su11(1.0)
+        with pytest.raises(DomainError, match="eps must be finite"):
+            coefficients(CSSpec(family, deformation, 0.5), eps=eps)
+
+    def test_zero_eps_runs(self):
+        # the recurrence runs until the trailing coefficient underflows to 0
+        spec = CSSpec(CSFamily.SU11_BGCS, higgs_su11(1.0), 1.0)
+        vec = coefficients(spec, eps=0.0)
+        assert vec.coeffs[-1] == 0.0
+        assert vec.truncation > coefficients(spec).truncation
+
 
 class TestLadderMaps:
     def test_lowering_annihilates_ground(self):
@@ -228,18 +242,18 @@ class TestBGEigenResidual:
 
     def test_linear_small(self):
         spec = CSSpec(CSFamily.SU11_BGCS, linear_su11(1.0), 1.0)
-        assert bg_eigen_residual(spec, eps=1e-12) < 1e-10
+        assert bg_eigen_residual(spec) < 1e-10
 
     def test_higgs_small(self):
         spec = CSSpec(CSFamily.SU11_BGCS, higgs_su11(0.5), 2.0)
-        assert bg_eigen_residual(spec, eps=1e-12) < 1e-9
+        assert bg_eigen_residual(spec) < 1e-9
 
     def test_bounded_by_tail(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             spec = _draw_cs(rng, CSFamily.SU11_BGCS)
             vec = coefficients(spec, eps=1e-12)
-            residual = bg_eigen_residual(spec, eps=1e-12)
+            residual = bg_eigen_residual(spec)
             assert residual <= 10.0 * vec.tail_bound * (1.0 + abs(spec.amplitude))
 
     def test_wrong_family_rejected(self):

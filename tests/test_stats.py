@@ -17,6 +17,7 @@ from polycs.errors import ConvergenceFailure, DegenerateInput
 from polycs.hypergeom import pochhammer
 from polycs.states import CSFamily, CSSpec, coefficients, cs_from_xbar
 from polycs.stats import (
+    MAX_GRID_POINTS,
     GridSpec,
     direct_moments,
     intensity_correlation,
@@ -380,3 +381,15 @@ class TestGridSpec:
 
         with pytest.raises(DomainError, match="finite"):
             GridSpec(*bounds, 3, (1.0,))
+
+    def test_rejects_points_above_cap(self):
+        from polycs.errors import DomainError
+
+        GridSpec(0.0, 1.0, MAX_GRID_POINTS, (1.0,))
+        with pytest.raises(DomainError, match="points must be in"):
+            GridSpec(0.0, 1.0, MAX_GRID_POINTS + 1, (1.0,))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.3, 0.3), (0.1, 7.0)])
+    def test_single_point_is_xbar_min(self, bounds):
+        values = GridSpec(*bounds, 1, (1.0,)).values()
+        assert values.tobytes() == np.array([bounds[0]]).tobytes()
