@@ -47,8 +47,8 @@ import numpy as np
 from . import algebra
 from .algebra import DeformationSpec
 from .errors import ConvergenceFailure, DomainError, QuadratureFailure
-from .hypergeom import pfq, pfq_derivative
-from .states import CSFamily, CSSpec, arg_sign, coefficients, series_params
+from .states import CSSpec, coefficients, series_params, series_variable
+from .stats import norm_and_slope
 
 # Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
 # holds two arrays of at most a few hundred floats.
@@ -126,11 +126,8 @@ def connection_coefficient(spec: CSSpec) -> float:
     Memoised per state (CSSpec is frozen): `berry_phase_loop` on an equal
     state reuses the value.
     """
-    params = series_params(spec)
-    n0 = pfq(params).value.real
-    n1 = arg_sign(spec.family) * pfq_derivative(params, 1).value.real
-    leading = spec.deformation.coeffs[-1]
-    jacobian = leading if spec.family is CSFamily.SU2_PCS else 1.0 / leading
+    n0, n1 = norm_and_slope(spec.family, series_params(spec))
+    jacobian = series_variable(spec.family, spec.deformation, 1.0)
     a_val = 0.5 * jacobian * n1 / n0
     if not (math.isfinite(n0) and math.isfinite(n1) and math.isfinite(a_val)):
         raise ConvergenceFailure(

@@ -92,10 +92,7 @@ class CSSpec:
             mag2 = abs(self.amplitude) ** 2
         except OverflowError:  # past float range; __post_init__ rejects it
             mag2 = math.inf
-        leading = self.deformation.coeffs[-1]
-        if self.family is CSFamily.SU2_PCS:
-            return leading * mag2
-        return mag2 / leading
+        return series_variable(self.family, self.deformation, mag2)
 
 
 @dataclass(frozen=True)
@@ -114,6 +111,12 @@ class CoefficientVector:
         arr = np.asarray(self.coeffs, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+
+def series_variable(family: CSFamily, deformation: DeformationSpec, mag2: float) -> float:
+    """xbar at |alpha|^2 = mag2; linear, so its value at mag2 = 1 is dxbar/d|alpha|^2."""
+    leading = deformation.coeffs[-1]
+    return leading * mag2 if family is CSFamily.SU2_PCS else mag2 / leading
 
 
 def cs_from_xbar(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateInput, DomainError
-from .hypergeom import pfq, pfq_derivative
-from .states import CoefficientVector, CSSpec, arg_sign, coefficients, series_params
+from .hypergeom import SeriesParams, pfq, pfq_derivative
+from .states import CoefficientVector, CSFamily, CSSpec, arg_sign, coefficients, series_params
 
 # Largest xbar grid a GridSpec accepts: 500 times the figure catalog's 200
 # points, and refused before any array is allocated.
@@ -71,15 +71,20 @@ class GridSpec:
         return np.linspace(self.xbar_min, self.xbar_max, self.points)
 
 
+def norm_and_slope(family: CSFamily, params: SeriesParams) -> tuple[float, float]:
+    """(N, dN/dxbar) of the family's norm series, N' by one parameter shift; unchecked."""
+    n0 = pfq(params).value.real
+    n1 = arg_sign(family) * pfq_derivative(params, 1).value.real
+    return n0, n1
+
+
 def norm_derivatives(spec: CSSpec) -> tuple[float, float, float]:
     """(N, N', N'') with respect to xbar, by parameter shifts.
 
     Raises ConvergenceFailure when any of the three is not finite.
     """
     params = series_params(spec)
-    sign = arg_sign(spec.family)
-    n0 = pfq(params).value.real
-    n1 = sign * pfq_derivative(params, 1).value.real
+    n0, n1 = norm_and_slope(spec.family, params)
     n2 = pfq_derivative(params, 2).value.real
     if not (math.isfinite(n0) and math.isfinite(n1) and math.isfinite(n2)):
         raise ConvergenceFailure(

