@@ -17,7 +17,10 @@ state is computed once per process and shared by the four curve figures.
 A table solves the deformation roots and shift prefactors once per label
 and hands every series (grid points x labels x the three shifts) to `pfq`
 as one `SeriesGrid`, which runs them in one numpy loop
-(`polycs.gridseries`) with each state's bits.  Each table logs one DEBUG
+(`polycs.gridseries`) with each state's bits.  Linear tables (p = 1) and
+any other table with real parameters run on real arrays; a Higgs table
+with complex roots runs on real pairs (the bit argument is in the
+`polycs.hypergeom` docstring).  Each table logs one DEBUG
 record on the ``polycs.figures`` logger with its cells, series, recurrence
 steps (its longest series) and terms summed.
 """
@@ -39,7 +42,7 @@ from . import stats
 from .errors import ConvergenceFailure, DomainError
 from .gridseries import SeriesGrid
 from .hypergeom import derivative_shift, pfq
-from .states import CSFamily, arg_sign, cs_from_xbar, family_deformation, norm_series
+from .states import CSFamily, arg_sign, check_eps, cs_from_xbar, family_deformation, norm_series
 from .stats import GridSpec
 
 _log = logging.getLogger(__name__)
@@ -119,6 +122,7 @@ class FigureRequest:
             raise DomainError(f"unknown figure id: {self.figure_id!r}")
         if self.fmt not in ("csv", "jsonl"):
             raise DomainError(f"format must be csv or jsonl, got {self.fmt!r}")
+        check_eps(self.eps)
 
 
 _STATISTICS = {

@@ -4,13 +4,18 @@
 argument) to `pfq_grid`, which runs all its cells in lockstep with a stop
 mask per cell; cells leave the active set as they terminate or settle.
 
-Every value is carried as a real pair.  `_cmul` and `_cdiv` copy CPython's
-complex product (_Py_c_prod) and Smith quotient (_Py_c_quot) operation by
-operation, one ufunc call each, so that nothing can fuse into an FMA: each
-cell has the bits `pfq` gives it, for real parameters and for conjugate
-root pairs alike.  The loop pays numpy's per-call cost on every step, so it
-only wins over the scalar loop when a step covers many cells: single states
-keep the scalar loop.
+A grid whose parameters all have zero imaginary parts (every linear
+figure table) runs on float64 arrays; any other grid carries every value as
+a real pair.  `_cmul` and `_cdiv` copy CPython's complex product
+(_Py_c_prod) and Smith quotient (_Py_c_quot) operation by operation, one
+ufunc call each, so that nothing can fuse into an FMA: each cell has the
+bits `pfq` gives it, for real parameters and for conjugate root pairs
+alike.  In the real mode the imaginary parts are absent (None): `_cmul`,
+the summation and the size test take the real operations and the quotient
+is a plain division, which give the complex loop's bits for the reason the
+`hypergeom` docstring gives.  The loop pays numpy's per-call cost on every
+step, so it only wins over the scalar loop when a step covers many cells:
+single states keep the scalar loop.
 
 `polycs.figures` imports this module and `pfq` loads it for a grid, so
 `import polycs` does not compile it.
@@ -64,7 +69,12 @@ class GridResult:
 
 
 def _cmul(ar, ai, br, bi):
-    """CPython's complex product (_Py_c_prod) on real pairs."""
+    """CPython's complex product (_Py_c_prod) on real pairs.
+
+    Without an imaginary part (ai is None) it is the real product.
+    """
+    if ai is None:
+        return ar * br, None
     return ar * br - ai * bi, ar * bi + ai * br
 
 
@@ -103,6 +113,23 @@ def _cdiv(ar, ai, br, bi):
     return qr, qi
 
 
+def _kahan(total, comp, term):
+    """One compensated-summation step on one part: (total, compensation).
+
+    An absent part (None) stays absent.
+    """
+    if term is None:
+        return None, None
+    y = term - comp
+    t = total + y
+    return t, (t - total) - y
+
+
+def _modulus(re, im):
+    """abs() of each value, as CPython's C hypot; |re| without an imaginary part."""
+    return np.abs(re) if im is None else np.hypot(re, im)
+
+
 def pfq_grid(grid: SeriesGrid, eps: float, max_terms: int) -> GridResult:
     """Every cell of `grid` by the term recurrence, as `pfq` computes it.
 
@@ -123,18 +150,27 @@ def pfq_grid(grid: SeriesGrid, eps: float, max_terms: int) -> GridResult:
         stops.append(max_terms if stop is None else stop)
 
     # One entry per cell in (argument, row) order.  Imaginary parts of the
-    # parameters carry the + 0.0 of CPython's complex + int.
+    # parameters carry the + 0.0 of CPython's complex + int; in the real
+    # mode, chosen when every one is zero, they are absent.
+    real = not (numer.imag.any() or denom.imag.any())
+
     def per_cell(row_values):
         return np.tile(row_values, n_args)
+
+    def column(col):
+        return per_cell(col.real), None if real else per_cell(col.imag) + 0.0
+
+    def zeros():
+        return None if real else np.zeros(cell.size)
 
     cell = np.arange(n_args * n_rows)
     stop = per_cell(np.array(stops, dtype=np.int64))
     arg = np.repeat(args, n_rows)
-    upper = [(per_cell(col.real), per_cell(col.imag) + 0.0) for col in numer.T]
-    lower = [(per_cell(col.real), per_cell(col.imag) + 0.0) for col in denom.T]
-    term_re, term_im = np.ones(cell.size), np.zeros(cell.size)
-    total_re, total_im = np.ones(cell.size), np.zeros(cell.size)
-    comp_re, comp_im = np.zeros(cell.size), np.zeros(cell.size)
+    upper = [column(col) for col in numer.T]
+    lower = [column(col) for col in denom.T]
+    term_re, term_im = np.ones(cell.size), zeros()
+    total_re, total_im = np.ones(cell.size), zeros()
+    comp_re, comp_im = np.zeros(cell.size), zeros()
     small_run = np.zeros(cell.size, dtype=np.int64)
 
     out_re = np.zeros(n_args * n_rows)
@@ -145,15 +181,20 @@ def pfq_grid(grid: SeriesGrid, eps: float, max_terms: int) -> GridResult:
         nonlocal cell, stop, arg, upper, lower, small_run
         nonlocal term_re, term_im, total_re, total_im, comp_re, comp_im
         out_re[cell[done]] = total_re[done]
-        out_im[cell[done]] = total_im[done]
+        if not real:
+            out_im[cell[done]] = total_im[done]
         terms[cell[done]] = used
         keep = ~done
+
+        def kept(values):
+            return None if values is None else values[keep]
+
         cell, stop, arg, small_run = cell[keep], stop[keep], arg[keep], small_run[keep]
-        upper = [(re[keep], im[keep]) for re, im in upper]
-        lower = [(re[keep], im[keep]) for re, im in lower]
-        term_re, term_im = term_re[keep], term_im[keep]
-        total_re, total_im = total_re[keep], total_im[keep]
-        comp_re, comp_im = comp_re[keep], comp_im[keep]
+        upper = [(re[keep], kept(im)) for re, im in upper]
+        lower = [(re[keep], kept(im)) for re, im in lower]
+        term_re, term_im = term_re[keep], kept(term_im)
+        total_re, total_im = total_re[keep], kept(total_im)
+        comp_re, comp_im = comp_re[keep], kept(comp_im)
 
     stop_points = set(stops)
     n = 0
@@ -167,15 +208,14 @@ def pfq_grid(grid: SeriesGrid, eps: float, max_terms: int) -> GridResult:
             den_re, den_im = _shifted_product(lower, n)
             term_re, term_im = _cmul(term_re, term_im, num_re, num_im)
             term_re, term_im = _cmul(term_re, term_im, arg / (n + 1), 0.0)
-            term_re, term_im = _cdiv(term_re, term_im, den_re, den_im)
-            y_re, y_im = term_re - comp_re, term_im - comp_im
-            t_re, t_im = total_re + y_re, total_im + y_im
-            comp_re, comp_im = (t_re - total_re) - y_re, (t_im - total_im) - y_im
-            total_re, total_im = t_re, t_im
+            if not real:
+                term_re, term_im = _cdiv(term_re, term_im, den_re, den_im)
+            elif lower:  # without lower parameters x / 1.0 is exact: skipped
+                term_re = term_re / den_re
+            total_re, comp_re = _kahan(total_re, comp_re, term_re)
+            total_im, comp_im = _kahan(total_im, comp_im, term_im)
             n += 1
-            # abs(complex) is C's hypot in CPython, as np.hypot is in numpy
-            size = np.hypot(term_re, term_im)
-            small = size <= eps * np.hypot(total_re, total_im)
+            small = _modulus(term_re, term_im) <= eps * _modulus(total_re, total_im)
             small_run = np.where(small, small_run + 1, 0)
             settled = small_run >= SMALL_RUN
             if settled.any():

@@ -25,7 +25,10 @@ zero and in which non-finite value (inf or nan) an overflow leaves.
 Given a `polycs.gridseries.SeriesGrid` (parameter rows x arguments), `pfq`
 runs every cell of the table in one numpy loop, with the complex loop's
 bits, and returns a `GridResult`; the figure catalog's norm tables
-(`polycs.figures`) are evaluated this way.
+(`polycs.figures`) are evaluated this way.  The same rule picks the
+arithmetic once per grid: a grid whose parameters all have zero imaginary
+parts runs on real arrays, for the reason above, and any other grid on
+real pairs that copy the complex operations.
 
 Argument-derivatives are computed by parameter shifting,
 

@@ -38,7 +38,9 @@ from .hypergeom import SeriesParams, pfq
 
 _RATIO_CAP = 0.999  # truncation requires the local term ratio below this
 _RESCALE_AT = 1e150
-_MAX_COEFFS = 10_000  # recurrence steps before the noncompact tower gives up
+# Recurrence steps before the noncompact tower gives up, and the largest
+# compact (su(2)) tower dimension accepted.
+_MAX_COEFFS = 10_000
 
 
 class CSFamily(enum.Enum):
@@ -185,17 +187,29 @@ def _ratio(spec: CSSpec, n: int) -> complex:
     return spec.amplitude * (2.0 * d.rep_label + n) / step
 
 
+def check_eps(eps: float) -> None:
+    """Raise DomainError unless the truncation tolerance eps is finite and >= 0."""
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
+
+
 def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     """Normalized coefficient vector of the state.
 
-    Compact states keep the full tower (truncation = 2j exactly).  Noncompact
+    Compact states keep the full tower (truncation = 2j exactly); a tower of
+    more than _MAX_COEFFS entries is refused before it is allocated, since its
+    norm series could not terminate within `pfq`'s term cap either.  Noncompact
     states grow until the last coefficient drops below eps (finite, >= 0) of
     the running norm while the local ratio signals decay.
     """
-    if not 0.0 <= eps < math.inf:
-        raise DomainError(f"eps must be finite and non-negative, got {eps}")
+    check_eps(eps)
     if spec.family is CSFamily.SU2_PCS:
         dim = spec.deformation.dimension
+        if dim > _MAX_COEFFS:
+            raise DomainError(
+                f"su(2) tower of dimension {dim} exceeds the cap of "
+                f"{_MAX_COEFFS} coefficients"
+            )
         c = np.zeros(dim, dtype=complex)
         c[0] = 1.0
         for n in range(dim - 1):

@@ -24,8 +24,9 @@ from .errors import ConvergenceFailure, DegenerateInput, DomainError
 from .hypergeom import SeriesParams, pfq, pfq_derivative
 from .states import CoefficientVector, CSFamily, CSSpec, arg_sign, coefficients, series_params
 
-# Largest xbar grid a GridSpec accepts: 500 times the figure catalog's 200
-# points, and refused before any array is allocated.
+# Largest xbar grid a GridSpec accepts (500 times the figure catalog's 200
+# points) and largest photon_distribution n_max, each refused before an
+# array of that size is allocated.
 MAX_GRID_POINTS = 100_000
 
 
@@ -99,12 +100,14 @@ def photon_distribution(
     """P(n) = |c_n|^2 of the normalized coefficient vector.
 
     With n_max given, the result is padded or trimmed to length n_max + 1.
+    `coefficients` checks eps and the su(2) tower size first, so an
+    oversized tower is named as such even where n_max derives from it.
     """
-    if n_max is not None and n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max}")
     probs = np.abs(coefficients(spec, eps=eps).coeffs) ** 2
     if n_max is None:
         return probs
+    if not 0 <= n_max <= MAX_GRID_POINTS:
+        raise DomainError(f"n_max must be in 0..{MAX_GRID_POINTS}, got {n_max}")
     out = np.zeros(n_max + 1)
     take = min(probs.size, n_max + 1)
     out[:take] = probs[:take]

@@ -401,6 +401,12 @@ class TestCLI:
             ["su2-mean", "--labels", "nan"],
             ["su11-bgcs-mean", "--labels", "inf"],
             ["su11-bgcs-photdist", "--eps", "nan"],
+            ["su11-bgcs-photdist", "--nmax", "1000000000000"],
+            ["su2-photdist", "--labels", "1e12"],
+            ["su2-photdist", "--labels", "5000"],
+            ["su2-mean", "--eps", "nan"],
+            ["su2-mean", "--eps", "inf"],
+            ["su2-mean", "--eps=-5"],
         ],
         ids=[
             "nmax-1",
@@ -413,6 +419,12 @@ class TestCLI:
             "labels-nan",
             "bgcs-labels-inf",
             "bgcs-eps-nan",
+            "bgcs-nmax-huge",
+            "su2-tower-huge",
+            "su2-tower-over-cap",
+            "curve-eps-nan",
+            "curve-eps-inf",
+            "curve-eps-negative",
         ],
     )
     def test_figure_bad_input_exit_2(self, tmp_path, capsys, argv):
@@ -437,6 +449,9 @@ class TestCLI:
             ["--family", "su11-bgcs", "--eps", "nan"],
             ["--family", "su11-bgcs", "--eps", "inf"],
             ["--family", "su11-bgcs", "--eps=-1e-12"],
+            ["--label", "1e12"],
+            ["--label", "1e7"],
+            ["--family", "su11-bgcs", "--json", "--nmax", "1000000000000"],
         ],
         ids=[
             "json-nmax-2",
@@ -451,6 +466,9 @@ class TestCLI:
             "bgcs-eps-nan",
             "bgcs-eps-inf",
             "bgcs-eps-negative",
+            "su2-tower-huge",
+            "su2-tower-long",
+            "bgcs-json-nmax-huge",
         ],
     )
     def test_stats_bad_input_exit_2(self, capsys, argv):

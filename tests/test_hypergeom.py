@@ -19,6 +19,7 @@ from polycs.hypergeom import (
     termination_index,
 )
 from polycs.states import CSFamily, cs_from_xbar, series_params
+from polycs import gridseries
 from polycs.gridseries import SeriesGrid
 
 
@@ -130,15 +131,27 @@ class TestPfqBitIdentity:
             assert got.terminated == want.terminated
             assert got.est_error == want.est_error
 
-    @pytest.mark.parametrize("pairs", [False, True], ids=["real", "conjugate-pairs"])
+    @pytest.mark.parametrize(
+        "kind", ["real", "pairs", "mixed"], ids=["real", "conjugate-pairs", "mixed"]
+    )
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_grid_matches_reference(self, pairs, data):
-        numer, denom, args = data.draw(valid_rows(pairs))
+    def test_grid_matches_reference(self, kind, data):
+        numer, denom, args = data.draw(valid_rows(kind != "real"))
         # a second row as the first derivative takes it, unless its prefactor vanishes
         rows = [SeriesParams(numer, denom, 0.0)]
         _, shifted = derivative_shift(rows[0], 1)
         rows += [shifted] if shifted is not None else []
+        if kind == "mixed":
+            # the pair row's real parts: a real row of the same widths, which
+            # the grid's complex arithmetic must leave with the real bits
+            rows.append(
+                SeriesParams(
+                    tuple(complex(a.real) for a in numer),
+                    tuple(complex(b.real) for b in denom),
+                    0.0,
+                )
+            )
         grid = SeriesGrid([r.numer for r in rows], [r.denom for r in rows], args)
         result = pfq(grid)
         want_terms = 0
@@ -150,6 +163,22 @@ class TestPfqBitIdentity:
                 assert result.cell_terms[g, r] == want.terms_used
                 want_terms += want.terms_used
         assert result.terms_used == want_terms
+
+    def test_real_grid_takes_real_arithmetic(self, monkeypatch):
+        # a fast mode that silently fell back to the pair loop would still
+        # pass the bit tests; the complex quotient is reached only by it
+        def refuse(*args):
+            raise AssertionError("complex quotient reached")
+
+        monkeypatch.setattr(gridseries, "_cdiv", refuse)
+        real = SeriesGrid([(0.5,), (-3.0,)], [(1.5,), (2.0,)], [0.25, -0.5])
+        result = pfq(real)
+        for g, arg in enumerate(real.args):
+            for r, (numer, denom) in enumerate(zip(real.numer, real.denom)):
+                want = reference_pfq(SeriesParams(numer, denom, arg))
+                assert bits(complex(result.real[g, r], result.imag[g, r])) == bits(want.value)
+        with pytest.raises(AssertionError, match="complex quotient reached"):
+            pfq(SeriesGrid([(0.5,), (-3.0,)], [(1.5 + 1j,), (2.0,)], [0.25]))
 
     def test_typed_errors(self):
         with pytest.raises(DivergentSeries):

@@ -169,6 +169,15 @@ class TestCoefficients:
         with pytest.raises(DomainError, match="eps must be finite"):
             coefficients(CSSpec(family, deformation, 0.5), eps=eps)
 
+    def test_oversized_su2_tower_rejected(self):
+        # 2j + 1 = 10,000 entries is the cap; one more is refused, before any
+        # array of the tower's size is allocated
+        assert coefficients(cs_from_xbar(CSFamily.SU2_PCS, linear_su2(4999.5), 1.0)).truncation == 9999
+        for j, dim in ((5000.0, 10001), (1e12, 2 * 10**12 + 1)):
+            spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(j), 1.0)
+            with pytest.raises(DomainError, match=f"dimension {dim} exceeds the cap of 10000"):
+                coefficients(spec)
+
     def test_zero_eps_runs(self):
         # the recurrence runs until the trailing coefficient underflows to 0
         spec = CSSpec(CSFamily.SU11_BGCS, higgs_su11(1.0), 1.0)

@@ -125,6 +125,16 @@ class TestPhotonDistribution:
             photon_distribution(spec, n_max=n_max)
 
 
+    def test_n_max_above_cap_rejected(self):
+        from polycs.errors import DomainError
+
+        spec = cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 1.0)
+        assert photon_distribution(spec, n_max=MAX_GRID_POINTS).size == MAX_GRID_POINTS + 1
+        for n_max in (MAX_GRID_POINTS + 1, 10**12):
+            with pytest.raises(DomainError, match="n_max"):
+                photon_distribution(spec, n_max=n_max)
+
+
 class TestMeanPhoton:
     def test_linear_su2(self):
         spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(1.0), 1.0)
