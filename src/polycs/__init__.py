@@ -50,7 +50,6 @@ from .states import (
     CSFamily,
     CSSpec,
     apply_lowering,
-    apply_raising,
     bg_eigen_residual,
     coefficients,
     cs_from_xbar,

@@ -27,6 +27,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -57,9 +58,9 @@ class DeformationSpec:
     coeffs holds the p structure-function coefficients (all nonzero).
     rep_label is j (half-integer, compact) or k (positive real, noncompact).
     A spec is constructible with parameters that break unitarity (so the
-    validator can diagnose them); the coherent-state layer additionally
-    demands a positive leading coefficient, which keeps its series variables
-    non-negative.
+    validator can diagnose them).  The coherent-state layer reads the roots
+    only through `unitary_roots` and also demands a positive leading
+    coefficient, which keeps its series variables non-negative.
     """
 
     kind: AlgebraKind
@@ -109,6 +110,11 @@ class DeformationSpec:
     def dimension(self) -> int:
         """Tower dimension 2j+1 (compact kind only)."""
         return self.two_j + 1
+
+    @cached_property
+    def unitary_roots(self) -> RootSet:
+        """`validate_unitarity(self)`, memoised: one root solve per spec."""
+        return validate_unitarity(self)
 
 
 @dataclass(frozen=True)
@@ -251,16 +257,16 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
     if spec.p == 2:
         c1, c2 = spec.coeffs
         label = spec.rep_label
-        if spec.is_compact:
-            lin = 2.0 * label + 1.0
-            disc = lin**2 - 8.0 * label * (label + 1.0) - 4.0 * c1 / c2
-            root = cmath.sqrt(complex(disc))
-            pair = (0.5 * (lin + root), 0.5 * (lin - root))
-        else:
-            lin = 2.0 * label - 1.0
-            disc = lin**2 - 8.0 * label * (label - 1.0) - 4.0 * c1 / c2
-            root = cmath.sqrt(complex(disc))
-            pair = (-0.5 * (lin + root), -0.5 * (lin - root))
+        sign = 1.0 if spec.is_compact else -1.0
+        lin = 2.0 * label + sign
+        try:
+            disc = lin**2 - 8.0 * label * (label + sign) - 4.0 * c1 / c2
+        except OverflowError:  # lin**2 past float range
+            disc = math.inf
+        root = cmath.sqrt(complex(disc))
+        pair = (0.5 * sign * (lin + root), 0.5 * sign * (lin - root))
+        if not all(cmath.isfinite(w) for w in pair):
+            raise RootSolveFailure(f"closed-form roots overflow at label {label:g}")
         roots = sorted(pair, key=lambda w: (w.real, w.imag))
         return RootSet(leading=leading, roots=tuple(roots))
     try:
@@ -286,15 +292,24 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
     return RootSet(leading=leading, roots=tuple(roots))
 
 
-def validate_unitarity(spec: DeformationSpec, n_cap: int = 1000) -> None:
-    """Check positivity of the squared ladder elements over the tower.
+def validate_unitarity(spec: DeformationSpec) -> RootSet:
+    """The roots, once every squared ladder element of the tower is >= 0.
 
-    Compact towers are checked exhaustively (n = 1..2j); noncompact towers up
-    to n_cap.  Raises UnitarityViolation naming the first offending index.
+    An element has the sign of chi_n or rho_n = c_p prod_i (n - r_i), which
+    changes only across a real root r, so `ladder_sq` at n = 1 and at
+    floor(Re r) .. floor(Re r) + 2 (a root may come out just below an
+    integer) decides the whole tower in O(p) calls, and in ascending order
+    its first failure is the UnitarityViolation at the first bad index.
     """
-    top = spec.two_j if spec.is_compact else n_cap
-    for n in range(1, top + 1):
-        ladder_sq(spec, n)
+    rootset = deformation_roots(spec)
+    top = spec.two_j if spec.is_compact else math.inf
+    checks = {1}
+    for low in {math.floor(root.real) for root in rootset.roots}:
+        checks.update((low, low + 1, low + 2))
+    for n in sorted(checks):
+        if 1 <= n <= top:
+            ladder_sq(spec, n)
+    return rootset
 
 
 def casimir_eigenvalue(spec: DeformationSpec) -> float:

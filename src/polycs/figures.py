@@ -142,9 +142,9 @@ def _norm_table(
     xbar is the state's own, which differs from the grid value by rounding;
     (N, N', N'') has the bits `stats.norm_derivatives` gives that state.
     The checks are those of the scalar path, raised in this order:
-    DomainError for a bad xbar, ZeroDenominator and DivergentSeries per
-    label, then ConvergenceFailure naming the xbar and label of the first
-    cell whose series did not settle or whose triple is not finite.
+    DomainError for a bad xbar, per label the gate of `norm_series`,
+    ZeroDenominator and DivergentSeries, then ConvergenceFailure naming the
+    xbar and label of the first cell that did not settle or is not finite.
     """
     deformations = [family_deformation(family, coeffs, v) for v in grid.labels]
     # A state's xbar depends on its deformation only through the shared
@@ -222,8 +222,6 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
 
     if fig.is_distribution:
         xbar = req.dist_xbar if req.dist_xbar is not None else fig.default_dist_xbar
-        if xbar < 0.0:
-            raise DomainError(f"xbar must be non-negative, got {xbar}")
         if fig.family is CSFamily.SU2_PCS:
             n_cap = int(round(2 * max(labels)))
         else:

@@ -34,12 +34,12 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraKind, DeformationSpec
 from .errors import ConvergenceFailure, DomainError
-from .hypergeom import SeriesParams, pfq
+from .hypergeom import SeriesParams, pfq, validate
 
 _RATIO_CAP = 0.999  # truncation requires the local term ratio below this
 _RESCALE_AT = 1e150
-# Recurrence steps before the noncompact tower gives up, and the largest
-# compact (su(2)) tower dimension accepted.
+# Recurrence steps before the noncompact tower gives up, and the largest su(2)
+# tower dimension accepted: a larger one's norm series outruns `pfq`'s term cap.
 _MAX_COEFFS = 10_000
 
 
@@ -149,9 +149,20 @@ def family_deformation(
 def norm_series(
     family: CSFamily, deformation: DeformationSpec, xbar: float
 ) -> SeriesParams:
-    """pFq parameters of the family's squared-norm series at xbar."""
+    """pFq parameters of the family's squared-norm series at xbar.
+
+    The gate of every route to a state's numbers: it refuses an su(2) tower
+    of more than _MAX_COEFFS states (DomainError, before any root is solved),
+    then a non-unitary deformation (UnitarityViolation, from the memoised
+    `DeformationSpec.unitary_roots`).
+    """
     d = deformation
-    roots = algebra.deformation_roots(d).roots
+    if d.is_compact and d.dimension > _MAX_COEFFS:
+        raise DomainError(
+            f"su(2) tower of dimension {d.dimension} exceeds the cap of "
+            f"{_MAX_COEFFS} coefficients"
+        )
+    roots = d.unitary_roots.roots
     shifted = tuple(1.0 - r for r in roots)
     if family is CSFamily.SU2_PCS:
         return SeriesParams((-float(d.two_j),) + shifted, (), -xbar)
@@ -196,47 +207,37 @@ def check_eps(eps: float) -> None:
 def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     """Normalized coefficient vector of the state.
 
-    Compact states keep the full tower (truncation = 2j exactly); a tower of
-    more than _MAX_COEFFS entries is refused before it is allocated, since its
-    norm series could not terminate within `pfq`'s term cap either.  Noncompact
-    states grow until the last coefficient drops below eps (finite, >= 0) of
-    the running norm while the local ratio signals decay.
+    The state first meets the norm series' refusals (`norm_series`, then
+    `hypergeom.validate`: a zero noncompact element is DivergentSeries).  One
+    ratio recurrence builds the tower: compact states keep all of it
+    (truncation = 2j exactly); noncompact states grow until the last
+    coefficient drops below eps (finite, >= 0) of the running norm while the
+    local ratio signals decay.
     """
     check_eps(eps)
-    if spec.family is CSFamily.SU2_PCS:
-        dim = spec.deformation.dimension
-        if dim > _MAX_COEFFS:
-            raise DomainError(
-                f"su(2) tower of dimension {dim} exceeds the cap of "
-                f"{_MAX_COEFFS} coefficients"
-            )
-        c = np.zeros(dim, dtype=complex)
-        c[0] = 1.0
-        for n in range(dim - 1):
-            c[n + 1] = c[n] * _ratio(spec, n)
-            if abs(c[n + 1]) > _RESCALE_AT:
-                c /= abs(c[n + 1])
-        c /= np.linalg.norm(c)
-        return CoefficientVector(c, dim - 1, 0.0)
-
-    if spec.amplitude == 0.0:
+    validate(series_params(spec))
+    compact = spec.family is CSFamily.SU2_PCS
+    if spec.amplitude == 0.0 and not compact:
         return CoefficientVector(np.ones(1, dtype=complex), 0, 0.0)
 
     coeffs = [complex(1.0)]
-    sumsq = 1.0
+    sumsq = 1.0  # running squared norm, for the noncompact truncation test
     recent: list[float] = []
     n = 0
-    max_terms = _MAX_COEFFS  # a local: the loop compares against it every step
-    while n < max_terms:
+    top = spec.deformation.two_j if compact else _MAX_COEFFS  # a local, read each step
+    while n < top:
         ratio = _ratio(spec, n)
         nxt = coeffs[-1] * ratio
         coeffs.append(nxt)
-        sumsq += abs(nxt) ** 2
         n += 1
-        if abs(nxt) > _RESCALE_AT:
-            scale = abs(nxt)
-            coeffs = [c / scale for c in coeffs]
-            sumsq /= scale**2
+        size = abs(nxt)
+        if size > _RESCALE_AT:
+            coeffs = [c / size for c in coeffs]
+        if compact:  # no truncation test; |c_n|**2 overflows past 1e154
+            continue
+        sumsq += size**2
+        if size > _RESCALE_AT:
+            sumsq /= size**2
         recent.append(abs(ratio))
         if len(recent) > 5:
             recent.pop(0)
@@ -247,13 +248,13 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
         ):
             break
     else:
-        raise ConvergenceFailure(
-            f"coefficient recurrence did not truncate within {max_terms} terms"
-        )
+        if not compact:
+            raise ConvergenceFailure(
+                f"coefficient recurrence did not truncate within {top} terms"
+            )
     arr = np.array(coeffs, dtype=complex)
     arr /= np.linalg.norm(arr)
-    r_hat = min(max(recent), _RATIO_CAP)
-    tail = abs(arr[-1]) / (1.0 - r_hat)
+    tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), _RATIO_CAP))
     return CoefficientVector(arr, n, tail)
 
 
@@ -264,22 +265,6 @@ def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVe
     out = np.zeros(size, dtype=complex)
     for n in range(src.size - 1):
         out[n] = math.sqrt(algebra.ladder_sq(spec, n + 1)) * src[n + 1]
-    return CoefficientVector(out, size - 1, v.tail_bound)
-
-
-def apply_raising(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVector:
-    """Unnormalized raising action: out_n = sqrt(ladder_sq(n)) v_{n-1}.
-
-    On a full compact tower the spill over the top carries the exact factor
-    psi_{2j+1} = 0, so the output stays inside the representation.
-    """
-    src = v.coeffs
-    size = src.size + 1
-    if spec.is_compact:
-        size = min(size, spec.dimension)
-    out = np.zeros(size, dtype=complex)
-    for n in range(1, size):
-        out[n] = math.sqrt(algebra.ladder_sq(spec, n)) * src[n - 1]
     return CoefficientVector(out, size - 1, v.tail_bound)
 
 

@@ -116,17 +116,18 @@ def photon_distribution(
 
 # Each statistic from (N, N', N''), shared by the public functions, stat_record
 # and the figure tables, with the xbar = 0 rules: mean and Q vanish, I is 0/0
-# (nan in tables).  Where n1**2 or xbar * n1 leaves float range (large su(2)
-# j), I and the mean take the ratio form; all other values keep their bits.
+# (nan in tables); N' = 0, the state |0> of an su(2) tower with psi_1 = 0,
+# takes the same rules.  Where n1**2 or xbar * n1 leaves float range (large
+# su(2) j), I and the mean take the ratio form; all other values keep their bits.
 def mean_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
-    if xbar == 0.0:
+    if xbar == 0.0 or n1 == 0.0:
         return 0.0
     mean = xbar * n1 / n0
     return mean if math.isfinite(mean) else xbar * (n1 / n0)
 
 
 def corr_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
-    if xbar == 0.0:
+    if xbar == 0.0 or n1 == 0.0:
         return math.nan
     try:
         return n2 * n0 / n1**2
@@ -135,7 +136,7 @@ def corr_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
 
 
 def mandel_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
-    if xbar == 0.0:
+    if xbar == 0.0 or n1 == 0.0:
         return 0.0
     return xbar * (n2 / n1 - n1 / n0)
 
@@ -150,9 +151,10 @@ def mean_photon(spec: CSSpec) -> float:
 
 
 def intensity_correlation(spec: CSSpec) -> float:
-    if spec.xbar == 0.0:  # where corr_from_norms gives nan
-        raise DegenerateInput("intensity correlation is 0/0 at xbar = 0")
-    return corr_from_norms(spec.xbar, *norm_derivatives(spec))
+    norms = norm_derivatives(spec)
+    if spec.xbar == 0.0 or norms[1] == 0.0:  # where corr_from_norms gives nan
+        raise DegenerateInput("intensity correlation is 0/0 at xbar = 0 or N' = 0")
+    return corr_from_norms(spec.xbar, *norms)
 
 
 def mandel_q(spec: CSSpec) -> float:

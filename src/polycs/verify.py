@@ -138,7 +138,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
     err = 0.0
     for spec in check_specs:
         try:
-            algebra.validate_unitarity(spec, n_cap=200)
+            algebra.validate_unitarity(spec)
         except UnitarityViolation as exc:
             failure = f"{type(exc).__name__}: {exc}"
             err = -exc.value

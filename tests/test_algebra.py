@@ -258,6 +258,21 @@ class TestDeformationRoots:
             with pytest.raises(RootSolveFailure):
                 deformation_roots(su11_spec(coeffs, k))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            su11_spec((1.0, 2.0), 1e160),
+            su2_spec((1.0, 2.0), 1e160),
+            su11_spec((-1e300, 1e-300), 1.0),
+        ],
+        ids=["lin-squared", "lin-squared-su2", "coefficient-ratio"],
+    )
+    def test_closed_form_overflow_is_typed(self, spec):
+        # (2k - 1)^2 raises OverflowError past k ~ 7e153; c_1 / c_2 = -inf
+        # gives infinite roots
+        with pytest.raises(RootSolveFailure):
+            deformation_roots(spec)
+
 
 class TestValidateUnitarity:
     def test_higgs_su2_ok(self):
@@ -275,7 +290,83 @@ class TestValidateUnitarity:
         validate_unitarity(su2_spec((1.0, -1.0 / (2 * j * j)), j))
 
     def test_linear_su11_ok(self):
-        validate_unitarity(linear_su11(0.5), n_cap=100)
+        validate_unitarity(linear_su11(0.5))
+
+    def test_returns_the_roots(self):
+        spec = higgs_su11(3.0)
+        assert validate_unitarity(spec) == deformation_roots(spec)
+
+    def test_violation_past_any_scan_cap(self):
+        # k = 1/2, rho_n = c_1 - (n^2 - 1/2): positive up to n = 1500 only
+        with pytest.raises(UnitarityViolation) as err:
+            validate_unitarity(su11_spec((2251499.75, -1.0), 0.5))
+        assert "n=1501:" in str(err.value)
+
+    def test_negative_run_between_integer_roots(self):
+        # k = 1/2: rho_n = (b - 3.75)(b - 35.75), b = n^2 - 1/4, vanishes at
+        # n = 2 and 6 and is negative at n = 3..5; the root at 2 is computed
+        # just below 2, so its floor is 1
+        spec = su11_spec((124.1875, -39.25, 1.0), 0.5)
+        assert ladder_sq(spec, 2) == ladder_sq(spec, 6) == 0.0
+        assert 1.0 < deformation_roots(spec).roots[2].real < 2.0
+        with pytest.raises(UnitarityViolation) as err:
+            validate_unitarity(spec)
+        assert "n=3:" in str(err.value)
+
+    def test_negative_run_between_exact_integer_roots(self):
+        # su(2) (-14, 1) at j = 3: chi_n = (n - 2)(n - 5), with both roots
+        # exact, so psi_2 = psi_5 = 0 and only n = 3, 4 are negative
+        assert deformation_roots(su2_spec((-14.0, 1.0), 3.0)).roots == (2, 5)
+        with pytest.raises(UnitarityViolation) as err:
+            validate_unitarity(su2_spec((-14.0, 1.0), 3.0))
+        assert "n=3:" in str(err.value)
+
+    def test_double_integer_root_passes(self):
+        # rho_n = (b - 3.75)^2 >= 0, zero at n = 2 only
+        validate_unitarity(su11_spec((12.1875, -7.25, 1.0), 0.5))
+
+    @given(
+        coeffs=st.lists(
+            st.sampled_from((-3.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0)), min_size=1, max_size=4
+        ),
+        kind=st.sampled_from(list(AlgebraKind)),
+        twice_label=st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_a_scan(self, coeffs, kind, twice_label):
+        spec = DeformationSpec(kind, len(coeffs), tuple(coeffs), twice_label / 2.0)
+        top = spec.two_j if spec.is_compact else 400
+
+        def outcome(check):
+            try:
+                check()
+            except UnitarityViolation as exc:
+                return str(exc)
+            return None
+
+        def scan():
+            for n in range(1, top + 1):
+                ladder_sq(spec, n)
+
+        assert outcome(lambda: validate_unitarity(spec)) == outcome(scan)
+
+    def test_memoised_per_spec(self, monkeypatch):
+        solves = []
+        original = algebra.deformation_roots
+
+        def counted(spec):
+            solves.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(algebra, "deformation_roots", counted)
+        spec = su11_spec((1.0, 1.0, 2.0), 3.0)
+        assert spec.unitary_roots is spec.unitary_roots
+        assert len(solves) == 1
+        bad = su2_spec((1.0, -1.0), 1.0)
+        for _ in range(2):
+            with pytest.raises(UnitarityViolation):
+                bad.unitary_roots
+        assert len(solves) == 3  # a failed check is not memoised
 
 
 class TestCasimir:

@@ -368,6 +368,43 @@ class TestCLI:
         assert code == 3
         assert "ConvergenceFailure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--label", "1", "--coeffs=-1,0.5", "--amplitude-re", "1"], "xbar=0.5"),
+            (
+                [
+                    "--label",
+                    "0.5",
+                    "--coeffs=-0.5,1",
+                    "--amplitude-re",
+                    "0.0001",
+                    "--amplitude-im",
+                    "-2",
+                ],
+                "xbar=4.00000001",
+            ),
+        ],
+        ids=["j1", "j-half"],
+    )
+    def test_stats_ground_state_tower(self, capsys, argv, line):
+        # psi_1 = 0: the state is |0>, with the xbar = 0 rules for N' = 0
+        code = main(["stats", "--family", "su2-pcs", *argv])
+        assert code == 0
+        assert capsys.readouterr().out == f"{line} mean=0 I=undefined Q=0 omega=0\n"
+
+    def test_stats_zero_noncompact_element_exit_3(self, capsys):
+        argv = ["--label", "0.5", "--coeffs=-1,2", "--amplitude-re", "200"]
+        code = main(["stats", "--family", "su11-pcs", *argv])
+        assert code == 3
+        assert "error: DivergentSeries: " in capsys.readouterr().err
+
+    def test_stats_non_unitary_exit_2(self, capsys):
+        argv = ["--label", "1.5", "--coeffs=-3,0.25", "--amplitude-re", "0.5"]
+        code = main(["stats", "--family", "su11-bgcs", *argv])
+        assert code == 2
+        assert "error: UnitarityViolation: " in capsys.readouterr().err
+
     def test_stats_domain_violation_exit_2(self, capsys):
         code = main(
             ["stats", "--family", "su11-pcs", "--label", "1", "--amplitude-re", "1.2"]
@@ -404,6 +441,7 @@ class TestCLI:
             ["su11-bgcs-photdist", "--nmax", "1000000000000"],
             ["su2-photdist", "--labels", "1e12"],
             ["su2-photdist", "--labels", "5000"],
+            ["su2-mean", "--labels", "5000"],
             ["su2-mean", "--eps", "nan"],
             ["su2-mean", "--eps", "inf"],
             ["su2-mean", "--eps=-5"],
@@ -422,6 +460,7 @@ class TestCLI:
             "bgcs-nmax-huge",
             "su2-tower-huge",
             "su2-tower-over-cap",
+            "curve-su2-tower-over-cap",
             "curve-eps-nan",
             "curve-eps-inf",
             "curve-eps-negative",

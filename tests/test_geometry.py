@@ -149,25 +149,25 @@ class TestBerryPhaseLoop:
                 assert gamma == pytest.approx(want, abs=1e-8)
 
     def test_connection_evaluated_once_per_state(self, monkeypatch):
-        solves = []
-        original = algebra.deformation_roots
+        evaluations = []
+        original = geometry.norm_and_slope
 
-        def counted(spec):
-            solves.append(spec)
-            return original(spec)
+        def counted(family, params):
+            evaluations.append(params)
+            return original(family, params)
 
-        monkeypatch.setattr(algebra, "deformation_roots", counted)
+        monkeypatch.setattr(geometry, "norm_and_slope", counted)
         connection_coefficient.cache_clear()
         spec = CSSpec(CSFamily.SU11_PCS, higgs_su11(3.0), complex(0.7))
         a_val = connection_coefficient(spec)
         gamma = berry_phase_loop(spec, LoopSpec(0.7, -1.5))
-        assert len(solves) == 1
+        assert len(evaluations) == 1
         assert gamma == 4.0 * math.pi * a_val * 0.7**2
         # an equal state built anew is the same key; another radius is not
         connection_coefficient(CSSpec(CSFamily.SU11_PCS, higgs_su11(3.0), 0.7))
-        assert len(solves) == 1
+        assert len(evaluations) == 1
         berry_phase_loop(spec, LoopSpec(0.8, 1.0))
-        assert len(solves) == 2
+        assert len(evaluations) == 2
 
     def test_small_radius_vanishes(self):
         for family, deformation in (

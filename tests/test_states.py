@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycs import stats
-from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11
-from polycs.errors import DomainError
+from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11, su2_spec, su11_spec
+from polycs.errors import DivergentSeries, DomainError, UnitarityViolation
 from polycs.states import (
     CoefficientVector,
     CSFamily,
     CSSpec,
     apply_lowering,
-    apply_raising,
     bg_eigen_residual,
     coefficients,
     cs_from_xbar,
@@ -185,6 +184,23 @@ class TestCoefficients:
         assert vec.coeffs[-1] == 0.0
         assert vec.truncation > coefficients(spec).truncation
 
+    @pytest.mark.parametrize("family", [CSFamily.SU11_BGCS, CSFamily.SU11_PCS])
+    @pytest.mark.parametrize("amplitude", [0.0, 200.0])
+    def test_zero_noncompact_element_is_divergent(self, family, amplitude):
+        # (-1, 2) at k = 1/2 has rho_1 = 0, a pole of the norm series
+        spec = CSSpec(family, su11_spec((-1.0, 2.0), 0.5), amplitude)
+        for route in (coefficients, normalization):
+            with pytest.raises(DivergentSeries):
+                route(spec)
+
+    @pytest.mark.parametrize("family", list(CSFamily))
+    def test_non_unitary_tower_refused(self, family):
+        build = su2_spec if family is CSFamily.SU2_PCS else su11_spec
+        spec = CSSpec(family, build((-3.0, 0.25), 1.5), 0.0)
+        for route in (coefficients, normalization):
+            with pytest.raises(UnitarityViolation, match="n=1:"):
+                route(spec)
+
 
 class TestLadderMaps:
     def test_lowering_annihilates_ground(self):
@@ -195,23 +211,6 @@ class TestLadderMaps:
         out = apply_lowering(higgs_su2(0.5), basis_vector(1, 2))
         assert out.coeffs[0] == pytest.approx(math.sqrt(2.0))
 
-    def test_raising_matrix_element(self):
-        out = apply_raising(higgs_su2(0.5), basis_vector(0, 2))
-        assert out.coeffs[0] == 0.0
-        assert out.coeffs[1] == pytest.approx(math.sqrt(2.0))
-
-    def test_raising_top_state_is_zero(self):
-        for j in LABELS:
-            spec = higgs_su2(j)
-            top = basis_vector(int(2 * j), int(2 * j) + 1)
-            out = apply_raising(spec, top)
-            assert np.all(out.coeffs == 0.0)
-
-    def test_su11_linear_raising(self):
-        out = apply_raising(linear_su11(0.5), basis_vector(0, 1))
-        assert out.coeffs.size == 2
-        assert out.coeffs[1] == pytest.approx(1.0)  # phi_1 = 1 at k = 1/2
-
     @given(scale=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=30, deadline=None)
     def test_linearity(self, scale):
@@ -221,27 +220,6 @@ class TestLadderMaps:
         out_scaled = apply_lowering(spec, scaled)
         out_base = apply_lowering(spec, vec)
         assert np.allclose(out_scaled.coeffs, scale * out_base.coeffs)
-
-    def test_commutator_on_basis(self):
-        """[raise, lower] e_n = commutator_poly(diagonal) e_n, both kinds."""
-        from polycs.algebra import commutator_poly, diagonal_eigenvalue
-
-        for spec in (higgs_su2(3.0), linear_su2(1.0), higgs_su11(0.5), linear_su11(3.0)):
-            dim = spec.dimension if spec.is_compact else 12
-            for n in range(dim):
-                e_n = basis_vector(n, dim)
-                plus_minus = apply_raising(spec, apply_lowering(spec, e_n))
-                minus_plus = apply_lowering(spec, apply_raising(spec, e_n))
-                size = max(plus_minus.coeffs.size, minus_plus.coeffs.size, dim)
-                pm = np.zeros(size, dtype=complex)
-                pm[: plus_minus.coeffs.size] = plus_minus.coeffs
-                mp = np.zeros(size, dtype=complex)
-                mp[: minus_plus.coeffs.size] = minus_plus.coeffs
-                diff = pm - mp
-                expected = commutator_poly(spec, diagonal_eigenvalue(spec, n))
-                assert abs(diff[n] - expected) < 1e-10 * max(abs(expected), 1.0)
-                others = np.delete(diff, n)
-                assert np.all(np.abs(others) < 1e-12)
 
 
 class TestBGEigenResidual:

@@ -367,6 +367,23 @@ class TestStatRecord:
         assert record.mean_n == 0.0
         assert record.mandel_q == 0.0
 
+    @pytest.mark.parametrize(
+        "coeffs, j, amplitude",
+        [((-1.0, 0.5), 1.0, 1.0), ((-0.5, 1.0), 0.5, complex(1e-4, -2.0))],
+        ids=["j1", "j-half"],
+    )
+    def test_ground_state_tower_takes_the_xbar_zero_rules(self, coeffs, j, amplitude):
+        # psi_1 = 0: the state is |0> at every amplitude, and N' = 0
+        spec = CSSpec(CSFamily.SU2_PCS, su2_spec(coeffs, j), amplitude)
+        record = stat_record(spec)
+        assert record.photon_dist == (1.0,) + (0.0,) * int(2 * j)
+        for value in (record.mean_n, record.mandel_q, record.metric):
+            assert math.copysign(1.0, value) == 1.0 and value == 0.0
+        assert math.isnan(record.intensity_corr)
+        assert (mean_photon(spec), mandel_q(spec), metric_factor(spec)) == (0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateInput):
+            intensity_correlation(spec)
+
 
 class TestGridSpec:
     def test_values(self):
