@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, RootSolveFailure, UnitarityViolation
 
@@ -162,28 +162,44 @@ def diagonal_eigenvalue(spec: DeformationSpec, n: int) -> float:
     return spec.rep_label + n
 
 
-def ladder_sq(spec: DeformationSpec, n: int) -> float:
-    """Squared ladder matrix element psi_n (compact) or phi_n (noncompact).
-
-    Raises UnitarityViolation when the value is negative beyond rounding;
-    rounding-level negatives at the tower boundary are clamped to zero.
+def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = None):
+    """psi_n (compact) or phi_n for start <= n < stop, by default to the end of
+    the tower (n = 2j + 1, or never): the one home of the ladder rule, reading
+    the constant end g(j) or g(k - 1) once.  A rounding-level negative is
+    clamped to zero; beyond NEGATIVE_TOL it raises UnitarityViolation, and a
+    non-finite value DomainError, at its n.
     """
+    coeffs, label = spec.coeffs, spec.rep_label
+    compact = spec.is_compact
+    offset = -label if compact else label
+    end = structure_function(spec, label if compact else label - 1.0)
+    if stop is None and compact:
+        stop = spec.two_j + 2
+    for n in itertools.count(start) if stop is None else range(start, stop):
+        m = offset + n - 1.0
+        t = m * (m + 1.0)
+        acc = 0.0
+        power = 1.0
+        for c in coeffs:
+            power *= t
+            acc += c * power
+        value = end - acc if compact else acc - end
+        if value < 0.0:
+            if value < -NEGATIVE_TOL:
+                raise UnitarityViolation(n, value)
+            value = 0.0
+        elif not value < math.inf:
+            raise DomainError(f"squared ladder element at index {n} is {value}")
+        yield value
+
+
+def ladder_sq(spec: DeformationSpec, n: int) -> float:
+    """Squared ladder matrix element psi_n (compact) or phi_n (noncompact)."""
     if n < 0:
         raise DomainError(f"tower index must be non-negative, got {n}")
-    if spec.is_compact:
-        if n > spec.two_j + 1:
-            raise DomainError(
-                f"index {n} outside the {spec.dimension}-dimensional tower"
-            )
-        j = spec.rep_label
-        value = structure_function(spec, j) - structure_function(spec, -j + n - 1.0)
-    else:
-        k = spec.rep_label
-        value = structure_function(spec, k + n - 1.0) - structure_function(spec, k - 1.0)
-    if value < 0.0:
-        if value >= -NEGATIVE_TOL:
-            return 0.0
-        raise UnitarityViolation(n, value)
+    if spec.is_compact and n > spec.two_j + 1:
+        raise DomainError(f"index {n} outside the {spec.dimension}-dimensional tower")
+    (value,) = ladder_elements(spec, n, n + 1)
     return value
 
 
@@ -239,16 +255,25 @@ def deformation_poly_coeffs(spec: DeformationSpec) -> np.ndarray:
             weight += spec.coeffs[r - 1] * a ** (r - s)
         out[: q_pow.size] += weight * q_pow
         if s < spec.p:
-            q_pow = npoly.polymul(q_pow, base)
+            q_pow = np.convolve(q_pow, base)
     return out
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] x**i at every x, in numpy polyval's order of operations."""
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
 def deformation_roots(spec: DeformationSpec) -> RootSet:
     """Roots of the deformation factor as a polynomial in the tower index.
 
     p = 1 has no roots; p = 2 uses the closed quadratic formula; higher p
-    takes numpy's polyroots, and each root z must keep the normwise backward
-    error |q(z)| / sum_i |c_i| |z|^i within ROOT_TOL, else RootSolveFailure.
+    takes the eigenvalues of the companion matrix, as numpy's polyroots does,
+    and each root z must keep the normwise backward error
+    |q(z)| / sum_i |c_i| |z|^i within ROOT_TOL, else RootSolveFailure.
     Roots are returned sorted by (real, imag) for reproducibility.
     """
     leading = spec.coeffs[-1]
@@ -277,10 +302,15 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
         coeffs = np.array([np.inf])
     if not np.all(np.isfinite(coeffs)):
         raise RootSolveFailure(f"factor coefficients overflow at label {spec.rep_label:g}")
-    raw = npoly.polyroots(coeffs)
+    size = coeffs.size - 1
+    companion = np.zeros((size, size))
+    companion.reshape(-1)[size :: size + 1] = 1.0
+    companion[:, -1] -= coeffs[:-1] / coeffs[-1]
+    raw = np.linalg.eigvals(companion)
+    raw.sort()
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = npoly.polyval(np.abs(raw), np.abs(coeffs))
-        residual = np.abs(npoly.polyval(raw, coeffs))
+        scale = _horner(np.abs(coeffs), np.abs(raw))
+        residual = np.abs(_horner(coeffs, raw))
     # An infinite scale would pass any root as |q(z)| / inf = 0 untested.
     if not np.all(np.isfinite(scale)):
         raise RootSolveFailure(f"root backward error overflows at label {spec.rep_label:g}")
@@ -288,8 +318,7 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
     worst = np.max(residual / np.where(scale == 0.0, 1.0, scale))
     if not worst <= ROOT_TOL:
         raise RootSolveFailure(f"root backward error {worst:.3e} exceeds {ROOT_TOL:g}")
-    roots = sorted((complex(w) for w in raw), key=lambda w: (w.real, w.imag))
-    return RootSet(leading=leading, roots=tuple(roots))
+    return RootSet(leading=leading, roots=tuple(complex(w) for w in raw))
 
 
 def validate_unitarity(spec: DeformationSpec) -> RootSet:

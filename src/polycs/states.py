@@ -187,17 +187,6 @@ def normalization(spec: CSSpec) -> float:
     return pfq(series_params(spec)).value.real
 
 
-def _ratio(spec: CSSpec, n: int) -> complex:
-    """Coefficient ratio c_{n+1} / c_n of the unnormalized expansion."""
-    d = spec.deformation
-    step = math.sqrt(algebra.ladder_sq(d, n + 1))
-    if spec.family is CSFamily.SU2_PCS:
-        return spec.amplitude * step / (n + 1)
-    if spec.family is CSFamily.SU11_BGCS:
-        return spec.amplitude / step
-    return spec.amplitude * (2.0 * d.rep_label + n) / step
-
-
 def check_eps(eps: float) -> None:
     """Raise DomainError unless the truncation tolerance eps is finite and >= 0."""
     if not 0.0 <= eps < math.inf:
@@ -212,7 +201,9 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     ratio recurrence builds the tower: compact states keep all of it
     (truncation = 2j exactly); noncompact states grow until the last
     coefficient drops below eps (finite, >= 0) of the running norm while the
-    local ratio signals decay.
+    local ratio signals decay; a running norm past float range is
+    ConvergenceFailure.  The step loop reads its squared ladder elements from
+    `algebra.ladder_elements`.
     """
     check_eps(eps)
     validate(series_params(spec))
@@ -220,32 +211,38 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     if spec.amplitude == 0.0 and not compact:
         return CoefficientVector(np.ones(1, dtype=complex), 0, 0.0)
 
-    coeffs = [complex(1.0)]
+    d, amp = spec.deformation, spec.amplitude
+    bgcs = spec.family is CSFamily.SU11_BGCS
+    two_k = 2.0 * d.rep_label
+    last = complex(1.0)
+    coeffs = [last]
     sumsq = 1.0  # running squared norm, for the noncompact truncation test
-    recent: list[float] = []
-    n = 0
-    top = spec.deformation.two_j if compact else _MAX_COEFFS  # a local, read each step
-    while n < top:
-        ratio = _ratio(spec, n)
-        nxt = coeffs[-1] * ratio
-        coeffs.append(nxt)
-        n += 1
-        size = abs(nxt)
+    recent = [0.0] * 5  # |ratio| of the last five steps, as a ring
+    top = d.two_j if compact else _MAX_COEFFS
+    for n, value in zip(range(1, top + 1), algebra.ladder_elements(d)):
+        if compact:
+            ratio = amp * math.sqrt(value) / n
+        elif bgcs:
+            ratio = amp / math.sqrt(value)
+        else:
+            ratio = amp * (two_k + (n - 1)) / math.sqrt(value)
+        last = last * ratio
+        coeffs.append(last)
+        size = abs(last)
         if size > _RESCALE_AT:
             coeffs = [c / size for c in coeffs]
+            last = coeffs[-1]
         if compact:  # no truncation test; |c_n|**2 overflows past 1e154
             continue
-        sumsq += size**2
+        try:
+            sumsq += size**2
+        except OverflowError:
+            raise ConvergenceFailure(f"running norm of the tower overflows at n = {n}") from None
         if size > _RESCALE_AT:
             sumsq /= size**2
-        recent.append(abs(ratio))
-        if len(recent) > 5:
-            recent.pop(0)
-        if (
-            n >= 5
-            and abs(coeffs[-1]) <= eps * math.sqrt(sumsq)
-            and max(recent) < _RATIO_CAP
-        ):
+            size = abs(last)  # the rescaled last coefficient, for the truncation test
+        recent[n % 5] = abs(ratio)
+        if n >= 5 and size <= eps * math.sqrt(sumsq) and max(recent) < _RATIO_CAP:
             break
     else:
         if not compact:

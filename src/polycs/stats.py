@@ -183,7 +183,7 @@ def stat_record(
     xbar, norms = spec.xbar, norm_derivatives(spec)
     return StatRecord(
         xbar=xbar,
-        photon_dist=tuple(float(p) for p in dist),
+        photon_dist=tuple(dist.tolist()),
         mean_n=mean_from_norms(xbar, *norms),
         intensity_corr=corr_from_norms(xbar, *norms),
         mandel_q=mandel_from_norms(xbar, *norms),

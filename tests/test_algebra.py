@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +136,19 @@ class TestLadderSq:
         with pytest.raises(DomainError):
             ladder_sq(linear_su2(0.5), 3)
 
+    def test_non_finite_element_rejected(self):
+        # at k = 1e100, g(k) and g(k - 1) are both inf, so phi_1 is inf - inf
+        spec = su11_spec((-1.0, 1.0), 1e100)
+        for check in (lambda: ladder_sq(spec, 1), lambda: validate_unitarity(spec)):
+            with pytest.raises(DomainError, match="element at index 1 is nan"):
+                check()
+
+    @pytest.mark.parametrize("spec", grid_specs() + grid_specs(P4_COEFFS))
+    def test_elements_match_single_calls(self, spec):
+        top = spec.two_j + 1 if spec.is_compact else 30
+        elements = list(itertools.islice(algebra.ladder_elements(spec, 2), top - 1))
+        assert elements == [ladder_sq(spec, n) for n in range(2, top + 1)]
+
 
 class TestDeformationFactor:
     def test_higgs_su2(self):
@@ -162,6 +178,45 @@ class TestDeformationFactor:
                 direct = deformation_factor(spec, float(n))
                 poly = float(np.polynomial.polynomial.polyval(n, coeffs))
                 assert poly == pytest.approx(direct, rel=1e-11, abs=1e-11)
+
+
+def reference_roots(spec):
+    """The p >= 3 solve through numpy.polynomial's wrappers: the bit oracle.
+
+    Returns the sorted roots, or the RootSolveFailure message.
+    """
+    label = spec.rep_label
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.is_compact:
+                a = label * (label + 1.0)
+                base = np.array([a, -(2.0 * label + 1.0), 1.0])
+            else:
+                a = label * (label - 1.0)
+                base = np.array([a, 2.0 * label - 1.0, 1.0])
+            coeffs = np.zeros(2 * spec.p - 1)
+            q_pow = np.array([1.0])
+            for s in range(1, spec.p + 1):
+                weight = 0.0
+                for r in range(s, spec.p + 1):
+                    weight += spec.coeffs[r - 1] * a ** (r - s)
+                coeffs[: q_pow.size] += weight * q_pow
+                if s < spec.p:
+                    q_pow = npoly.polymul(q_pow, base)
+    except OverflowError:
+        coeffs = np.array([np.inf])
+    if not np.all(np.isfinite(coeffs)):
+        return f"factor coefficients overflow at label {label:g}"
+    raw = npoly.polyroots(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = npoly.polyval(np.abs(raw), np.abs(coeffs))
+        residual = np.abs(npoly.polyval(raw, coeffs))
+    if not np.all(np.isfinite(scale)):
+        return f"root backward error overflows at label {label:g}"
+    worst = np.max(residual / np.where(scale == 0.0, 1.0, scale))
+    if not worst <= algebra.ROOT_TOL:
+        return f"root backward error {worst:.3e} exceeds {algebra.ROOT_TOL:g}"
+    return sorted((complex(w) for w in raw), key=lambda w: (w.real, w.imag))
 
 
 class TestDeformationRoots:
@@ -234,9 +289,31 @@ class TestDeformationRoots:
             residual = abs(np.polynomial.polynomial.polyval(r, coeffs))
             assert residual < 1e-10 * np.sum(np.abs(coeffs))
 
+    @given(
+        coeffs=st.lists(st.sampled_from((-1.0, 0.5, 1.0, 2.0, 3.0)), min_size=3, max_size=4),
+        label=st.one_of(
+            st.integers(1, 2000).map(lambda twice: twice / 2),
+            st.sampled_from((1e6, 1e20, 1e38, 1e51, 1e80)),
+        ),
+        compact=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_companion_solve_matches_polyroots(self, coeffs, label, compact):
+        spec = (su2_spec if compact else su11_spec)(coeffs, label)
+        want = reference_roots(spec)
+        if isinstance(want, str):
+            with pytest.raises(RootSolveFailure) as failure:
+                deformation_roots(spec)
+            assert str(failure.value) == want
+        else:
+            got = deformation_roots(spec).roots
+            assert [(w.real.hex(), w.imag.hex()) for w in got] == [
+                (w.real.hex(), w.imag.hex()) for w in want
+            ]
+
     def test_non_finite_roots_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            algebra.npoly, "polyroots", lambda c: np.full(c.size - 1, np.nan)
+            algebra.np.linalg, "eigvals", lambda m: np.full(m.shape[0], np.nan)
         )
         with pytest.raises(RootSolveFailure):
             deformation_roots(su11_spec((1.0, 1.0, 2.0), 3.0))

@@ -1,0 +1,74 @@
+"""The summary of scripts/bench_pairs.py on canned result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "op_p99_norm_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def canned(workload, pair, side, p99, rss, failed=39):
+    result = {
+        "correct": True,
+        "attempted": 864,
+        "failed": failed,
+        "metrics": {
+            "op_p99_norm_ms": {"value": p99, "unit": "ms"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+    # the line as the script prints it, read back as a driver would
+    line = "run " + json.dumps({"workload": workload, "pair": pair, "side": side, "result": result})
+    return json.loads(line.removeprefix("run "))
+
+
+def test_medians_quartiles_ratio_and_wins():
+    parent = [2.0, 1.9, 2.1, 2.0, 1.8]
+    change = [1.2, 1.1, 1.3, 2.2, 1.0]
+    runs = []
+    for pair, (old, new) in enumerate(zip(parent, change)):
+        runs.append(canned("state-sweep", pair, "parent", old, 40.0))
+        runs.append(canned("state-sweep", pair, "change", new, 40.0))
+    lines = bench_pairs.summarize(runs, METRICS)
+    assert lines[0] == "state-sweep: 5 pairs"
+    assert lines[1] == "  parent: failed [(39, 864)], correct True"
+    assert lines[2] == "  change: failed [(39, 864)], correct True"
+    # parent 1.8 1.9 2.0 2.0 2.1: median 2, quartiles 1.9 and 2; change median 1.2
+    assert lines[3] == (
+        "  op_p99_norm_ms (ms, lower is better): parent 2 [1.9, 2]  change 1.2 [1.1, 1.3]  "
+        "ratio 0.600 of the parent's 2  won 4/5 (ties 0)"
+    )
+    assert lines[4] == (
+        "  peak_rss_mb (MB, lower is better): parent 40 [40, 40]  change 40 [40, 40]  "
+        "ratio 1.000 of the parent's 40  won 0/5 (ties 5)"
+    )
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_past_the_spread():
+    runs = []
+    for pair in range(10):
+        runs.append(canned("catalog", pair, "parent", 2.0 + 0.01 * pair, 40.0))
+        runs.append(canned("catalog", pair, "change", 1.0 if pair else 3.0, 40.0))
+    p99 = bench_pairs.summarize(runs, METRICS)[3]
+    assert p99.endswith("won 9/10 (ties 0)  gain")
+    runs[3]["result"]["metrics"]["op_p99_norm_ms"]["value"] = 3.0  # pair 1 lost too
+    assert bench_pairs.summarize(runs, METRICS)[3].endswith("won 8/10 (ties 0)")
+
+
+def test_unpaired_runs_are_left_out():
+    runs = [
+        canned("geometry", 0, "parent", 0.4, 40.0),
+        canned("geometry", 0, "change", 0.3, 40.0),
+        canned("geometry", 1, "parent", 0.5, 40.0),
+    ]
+    lines = bench_pairs.summarize(runs, METRICS)
+    assert lines[0] == "geometry: 1 pairs"
+    assert "won 1/1" in lines[3]

@@ -405,6 +405,22 @@ class TestCLI:
         assert code == 2
         assert "error: UnitarityViolation: " in capsys.readouterr().err
 
+    def test_stats_running_norm_overflow_exit_3(self, capsys):
+        # |c_1| = 1.3e154 / sqrt(phi_1 = 0.5), about 1.8e154: its square leaves float range
+        argv = ["--label", "0.25", "--amplitude-re", "1.3e154"]
+        code = main(["stats", "--family", "su11-bgcs", *argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ConvergenceFailure: running norm") and err.count("\n") == 1
+
+    def test_stats_non_finite_ladder_element_exit_2(self, capsys):
+        # phi_1 = g(k) - g(k - 1) is inf - inf at k = 1e100
+        argv = ["--label", "1e100", "--coeffs=-1,1", "--amplitude-re", "1"]
+        code = main(["stats", "--family", "su11-bgcs", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: DomainError: squared ladder element at index 1 is nan\n"
+
     def test_stats_domain_violation_exit_2(self, capsys):
         code = main(
             ["stats", "--family", "su11-pcs", "--label", "1", "--amplitude-re", "1.2"]

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycs import stats
-from polycs.algebra import higgs_su2, higgs_su11, linear_su2, linear_su11, su2_spec, su11_spec
-from polycs.errors import DivergentSeries, DomainError, UnitarityViolation
+from polycs.algebra import (
+    NEGATIVE_TOL,
+    higgs_su2,
+    higgs_su11,
+    linear_su2,
+    linear_su11,
+    structure_function,
+    su2_spec,
+    su11_spec,
+)
+from polycs.errors import ConvergenceFailure, DivergentSeries, DomainError, UnitarityViolation
+from polycs.hypergeom import validate
 from polycs.states import (
     CoefficientVector,
     CSFamily,
@@ -16,7 +26,9 @@ from polycs.states import (
     bg_eigen_residual,
     coefficients,
     cs_from_xbar,
+    family_deformation,
     normalization,
+    series_params,
 )
 from polycs.verify import _draw_cs
 
@@ -200,6 +212,123 @@ class TestCoefficients:
         for route in (coefficients, normalization):
             with pytest.raises(UnitarityViolation, match="n=1:"):
                 route(spec)
+
+
+def reference_ladder_sq(d, n):
+    """One squared ladder element from two `structure_function` calls."""
+    if d.is_compact:
+        j = d.rep_label
+        value = structure_function(d, j) - structure_function(d, -j + n - 1.0)
+    else:
+        k = d.rep_label
+        value = structure_function(d, k + n - 1.0) - structure_function(d, k - 1.0)
+    if value < 0.0:
+        if value >= -NEGATIVE_TOL:
+            return 0.0
+        raise UnitarityViolation(n, value)
+    return value
+
+
+def reference_ratio(spec, n):
+    """Coefficient ratio c_{n+1} / c_n of the unnormalized expansion."""
+    d = spec.deformation
+    step = math.sqrt(reference_ladder_sq(d, n + 1))
+    if spec.family is CSFamily.SU2_PCS:
+        return spec.amplitude * step / (n + 1)
+    if spec.family is CSFamily.SU11_BGCS:
+        return spec.amplitude / step
+    return spec.amplitude * (2.0 * d.rep_label + n) / step
+
+
+def reference_coefficients(spec, eps):
+    """`coefficients` as one ratio call per step: the bit oracle of the tower."""
+    validate(series_params(spec))
+    compact = spec.family is CSFamily.SU2_PCS
+    if spec.amplitude == 0.0 and not compact:
+        return CoefficientVector(np.ones(1, dtype=complex), 0, 0.0)
+    coeffs = [complex(1.0)]
+    sumsq = 1.0
+    recent = []
+    n = 0
+    top = spec.deformation.two_j if compact else 10_000
+    while n < top:
+        ratio = reference_ratio(spec, n)
+        nxt = coeffs[-1] * ratio
+        coeffs.append(nxt)
+        n += 1
+        size = abs(nxt)
+        if size > 1e150:
+            coeffs = [c / size for c in coeffs]
+        if compact:
+            continue
+        sumsq += size**2
+        if size > 1e150:
+            sumsq /= size**2
+        recent.append(abs(ratio))
+        if len(recent) > 5:
+            recent.pop(0)
+        if n >= 5 and abs(coeffs[-1]) <= eps * math.sqrt(sumsq) and max(recent) < 0.999:
+            break
+    else:
+        if not compact:
+            raise ConvergenceFailure(f"coefficient recurrence did not truncate within {top} terms")
+    arr = np.array(coeffs, dtype=complex)
+    arr /= np.linalg.norm(arr)
+    tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), 0.999))
+    return CoefficientVector(arr, n, tail)
+
+
+def tower_outcome(build, spec, eps):
+    """The vector's bytes, truncation and tail bits, or the error's type and text."""
+    try:
+        vec = build(spec, eps)
+    except Exception as exc:  # the reference's own failures are compared too
+        return type(exc), str(exc)
+    return vec.coeffs.tobytes(), vec.truncation, vec.tail_bound.hex()
+
+
+@st.composite
+def tower_states(draw):
+    family = draw(st.sampled_from(list(CSFamily)))
+    p = draw(st.integers(1, 4))
+    signed = st.sampled_from((-1.0, 0.5, 1.0, 2.0, 3.0))
+    lower = draw(st.lists(signed, min_size=p - 1, max_size=p - 1))
+    coeffs = (*lower, draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))))
+    if family is CSFamily.SU2_PCS:
+        label = draw(st.integers(1, 400)) / 2
+    else:
+        label = draw(st.floats(0.5, 200.0))
+    if family is CSFamily.SU11_PCS and p == 1:
+        xbar = draw(st.floats(1e-3, 0.99))
+    else:
+        xbar = 10.0 ** draw(st.floats(-3.0, 3.0))
+    spec = cs_from_xbar(family, family_deformation(family, coeffs, label), xbar)
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    amplitude = spec.amplitude * complex(math.cos(turn), math.sin(turn)) if turn else spec.amplitude
+    return CSSpec(family, spec.deformation, amplitude)
+
+
+class TestTowerBitIdentity:
+    """`coefficients` against the one-call-per-step reference, bit for bit."""
+
+    @given(spec=tower_states(), eps=st.sampled_from((0.0, 1e-12, 1e-6)))
+    # |c_n| passes 1e150 at n = 60 and would peak near 1e230: the tower rescales
+    @example(spec=CSSpec(CSFamily.SU2_PCS, higgs_su2(50.0), 2.0 + 1.5j), eps=1e-12)
+    # psi_1 and psi_7 both round to -5.7e-14, which the clamp makes 0
+    @example(
+        spec=cs_from_xbar(CSFamily.SU2_PCS, su2_spec((35.21875, -3.325, 0.1), 3.5), 0.5),
+        eps=1e-12,
+    )
+    # the running norm decides n = 14 with size**2 and n = 13 with size * size
+    @example(
+        spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(3.0), 36.35434007804995),
+        eps=0.002367876543678032,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, spec, eps):
+        assert tower_outcome(coefficients, spec, eps) == tower_outcome(
+            reference_coefficients, spec, eps
+        )
 
 
 class TestLadderMaps:
