@@ -14,7 +14,8 @@ workload and end-to-end metric of the parent's BENCHMARK.json, the median and
 quartiles of each side, the ratio of the medians with its base, and the pairs
 the change won (ties count for neither side).  ``gain`` marks a metric
 whose change won at least nine tenths of the pairs and whose medians differ
-by more than the parent's interquartile range.
+by more than the parent's interquartile range; ``worse`` marks one whose
+change lost that many pairs, with the same gap between the medians.
 """
 
 from __future__ import annotations
@@ -71,12 +72,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
                 ties += new == old
                 wins += new < old if lower else new > old
             ratio = cm / pm if pm else float("nan")
-            gain = wins >= 0.9 * len(complete) and abs(cm - pm) > p3 - p1
+            losses = len(complete) - wins - ties
+            apart = abs(cm - pm) > p3 - p1
+            mark = ""
+            if apart and wins >= 0.9 * len(complete):
+                mark = "  gain"
+            elif apart and losses >= 0.9 * len(complete):
+                mark = "  worse"
             lines.append(
                 f"  {name} ({metric['unit']}, {metric['better']} is better): "
                 f"parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
                 f"ratio {ratio:.3f} of the parent's {pm:.4g}  "
-                f"won {wins}/{len(complete)} (ties {ties}){'  gain' if gain else ''}"
+                f"won {wins}/{len(complete)} (ties {ties}){mark}"
             )
     return lines
 

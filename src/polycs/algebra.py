@@ -120,10 +120,15 @@ class DeformationSpec:
 @dataclass(frozen=True)
 class RootSet:
     """Leading coefficient and the 2p-2 complex roots of the deformation
-    factor, so that factor(n) = leading * prod_i (n - roots[i])."""
+    factor, so that factor(n) = leading * prod_i (n - roots[i]).
+
+    zero_at is the first tower index at which `validate_unitarity` found a
+    squared ladder element of 0, and None where it found none or did not look.
+    """
 
     leading: float
     roots: tuple[complex, ...]
+    zero_at: int | None = None
 
 
 def su2_spec(coeffs, j) -> DeformationSpec:
@@ -235,46 +240,51 @@ def deformation_factorial(spec: DeformationSpec, n: int) -> float:
     return acc
 
 
-def deformation_poly_coeffs(spec: DeformationSpec) -> np.ndarray:
+def deformation_poly_coeffs(spec: DeformationSpec) -> list[float]:
     """Ascending monomial coefficients (in n) of the deformation factor.
 
-    Length 2p-1; the leading entry equals coeffs[-1] exactly.
+    Length 2p-1; the leading entry equals coeffs[-1] exactly.  The powers of
+    the quadratic in n are `np.convolve` products, whose two-term dots numpy
+    may contract into an FMA; the weighted sum of them is plain float
+    arithmetic, with the bits of numpy's elementwise product and sum.
     """
     label = spec.rep_label
     if spec.is_compact:
         a = label * (label + 1.0)
-        base = np.array([a, -(2.0 * label + 1.0), 1.0])
+        base = (a, -(2.0 * label + 1.0), 1.0)
     else:
         a = label * (label - 1.0)
-        base = np.array([a, 2.0 * label - 1.0, 1.0])
-    out = np.zeros(2 * spec.p - 1)
-    q_pow = np.array([1.0])
+        base = (a, 2.0 * label - 1.0, 1.0)
+    out = [0.0] * (2 * spec.p - 1)
+    q_pow = [1.0]
     for s in range(1, spec.p + 1):
         weight = 0.0
         for r in range(s, spec.p + 1):
             weight += spec.coeffs[r - 1] * a ** (r - s)
-        out[: q_pow.size] += weight * q_pow
+        for i, q in enumerate(q_pow):
+            out[i] += weight * q
         if s < spec.p:
-            q_pow = np.convolve(q_pow, base)
+            q_pow = np.convolve(q_pow, base).tolist()
     return out
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] x**i at every x, in numpy polyval's order of operations."""
-    acc = coeffs[-1] + x * 0
-    for c in coeffs[-2::-1]:
-        acc = c + acc * x
-    return acc
+def _re_im(w: complex) -> tuple[float, float]:
+    return w.real, w.imag
 
 
 def deformation_roots(spec: DeformationSpec) -> RootSet:
     """Roots of the deformation factor as a polynomial in the tower index.
 
     p = 1 has no roots; p = 2 uses the closed quadratic formula; higher p
-    takes the eigenvalues of the companion matrix, as numpy's polyroots does,
-    and each root z must keep the normwise backward error
-    |q(z)| / sum_i |c_i| |z|^i within ROOT_TOL, else RootSolveFailure.
-    Roots are returned sorted by (real, imag) for reproducibility.
+    takes the eigenvalues of the companion matrix, built as numpy's polyroots
+    builds it, so the roots have its bits, in the one LAPACK call of the
+    solve; the rest is Python float and complex arithmetic.  Each root z must
+    keep the normwise backward error |q(z)| / sum_i |c_i| |z|^i within
+    ROOT_TOL, else RootSolveFailure, as must a coefficient or companion entry
+    past float range.  The error's Horner loop need not round as numpy's SIMD
+    complex product and absolute value do, so where rounding noise dominates
+    the error its last digits may differ from numpy's.  Roots are returned
+    sorted by (real, imag) for reproducibility.
     """
     leading = spec.coeffs[-1]
     if spec.p == 1:
@@ -292,53 +302,68 @@ def deformation_roots(spec: DeformationSpec) -> RootSet:
         pair = (0.5 * sign * (lin + root), 0.5 * sign * (lin - root))
         if not all(cmath.isfinite(w) for w in pair):
             raise RootSolveFailure(f"closed-form roots overflow at label {label:g}")
-        roots = sorted(pair, key=lambda w: (w.real, w.imag))
-        return RootSet(leading=leading, roots=tuple(roots))
+        return RootSet(leading=leading, roots=tuple(sorted(pair, key=_re_im)))
     try:
-        # overflow here is reported as RootSolveFailure below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = deformation_poly_coeffs(spec)
-    except OverflowError:
-        coeffs = np.array([np.inf])
-    if not np.all(np.isfinite(coeffs)):
+        coeffs = deformation_poly_coeffs(spec)
+        # numpy's fill: zeros minus the ratios, so a zero entry stays +0
+        column = [0.0 - c / leading for c in coeffs[:-1]]
+    except OverflowError:  # a power of the label's quadratic past float range
+        column = [math.inf]
+    if not all(map(math.isfinite, column)):
         raise RootSolveFailure(f"factor coefficients overflow at label {spec.rep_label:g}")
-    size = coeffs.size - 1
-    companion = np.zeros((size, size))
-    companion.reshape(-1)[size :: size + 1] = 1.0
-    companion[:, -1] -= coeffs[:-1] / coeffs[-1]
-    raw = np.linalg.eigvals(companion)
-    raw.sort()
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = _horner(np.abs(coeffs), np.abs(raw))
-        residual = np.abs(_horner(coeffs, raw))
-    # An infinite scale would pass any root as |q(z)| / inf = 0 untested.
-    if not np.all(np.isfinite(scale)):
-        raise RootSolveFailure(f"root backward error overflows at label {spec.rep_label:g}")
-    # An exact zero root of a factor with c_0 = 0 gives 0/0; its error is 0.
-    worst = np.max(residual / np.where(scale == 0.0, 1.0, scale))
+    dim = len(column)
+    flat = [0.0] * (dim * dim)
+    flat[dim :: dim + 1] = [1.0] * (dim - 1)
+    flat[dim - 1 :: dim] = column
+    raw = np.linalg.eigvals(np.array(flat).reshape(dim, dim))
+    roots = sorted(map(complex, raw.tolist()), key=_re_im)
+    worst = 0.0
+    for z in roots:
+        size = abs(z)
+        scale, value = abs(leading), complex(leading)
+        for c in coeffs[-2::-1]:
+            scale = abs(c) + scale * size
+            value = c + value * z
+        # An infinite scale would pass any root as |q(z)| / inf = 0 untested.
+        if not scale < math.inf:
+            raise RootSolveFailure(f"root backward error overflows at label {spec.rep_label:g}")
+        # An exact zero root of a factor with c_0 = 0 gives 0/0; its error is 0.
+        error = abs(value) / (scale or 1.0)
+        if error > worst or error != error:  # as np.max, a nan is the worst
+            worst = error
     if not worst <= ROOT_TOL:
         raise RootSolveFailure(f"root backward error {worst:.3e} exceeds {ROOT_TOL:g}")
-    return RootSet(leading=leading, roots=tuple(complex(w) for w in raw))
+    return RootSet(leading=leading, roots=tuple(roots))
 
 
 def validate_unitarity(spec: DeformationSpec) -> RootSet:
     """The roots, once every squared ladder element of the tower is >= 0.
 
     An element has the sign of chi_n or rho_n = c_p prod_i (n - r_i), which
-    changes only across a real root r, so `ladder_sq` at n = 1 and at
+    changes only across a real root r, so the elements at n = 1 and at
     floor(Re r) .. floor(Re r) + 2 (a root may come out just below an
-    integer) decides the whole tower in O(p) calls, and in ascending order
-    its first failure is the UnitarityViolation at the first bad index.
+    integer) decide the whole tower in O(p) steps of `ladder_elements`, one
+    generator per run of consecutive indices.  In ascending order its first
+    failure is the UnitarityViolation at the first bad index.  The first
+    checked index whose element is 0, exact or clamped, is kept as `zero_at`.
     """
     rootset = deformation_roots(spec)
-    top = spec.two_j if spec.is_compact else math.inf
+    compact = spec.is_compact
+    top = spec.two_j if compact else math.inf
+    stop = top + 1 if compact else None
     checks = {1}
     for low in {math.floor(root.real) for root in rootset.roots}:
         checks.update((low, low + 1, low + 2))
+    zero_at = following = None
     for n in sorted(checks):
-        if 1 <= n <= top:
-            ladder_sq(spec, n)
-    return rootset
+        if not 1 <= n <= top:
+            continue
+        if n != following:
+            elements = ladder_elements(spec, n, stop)
+        following = n + 1
+        if next(elements) == 0.0 and zero_at is None:
+            zero_at = n
+    return RootSet(rootset.leading, rootset.roots, zero_at)
 
 
 def casimir_eigenvalue(spec: DeformationSpec) -> float:

@@ -31,8 +31,10 @@ the closed series G is the identity's independent oracle.
 
 Tower terms come from ratio recurrences (t_n = t_{n-1} xi r_n for F, s_n =
 s_{n-1} q_n for G), computed once per probe, so no factorial-sized quantity
-is formed.  F is summed over all nodes at once in the scalar series' order, so
-both routes give the same bits.  A non-finite series raises QuadratureFailure.
+is formed.  The rule evaluates F with the scalar series itself, bg_series on
+Python complexes at each node, so the quadrature has that route's bits by
+construction; the weighted sum over the nodes is the one numpy call.  A
+non-finite series raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def overlap_derivative_fd(spec: CSSpec, velocity: complex) -> complex:
 
 
 def _tower_sum(c, ratios, x, term):
-    """sum c_n t_n, t_n = t_{n-1} x ratio_n; over node arrays, the scalar sum's bits."""
+    """sum c_n t_n, t_n = t_{n-1} x ratio_n."""
     acc = c[0] * term
     for c_n, ratio in zip(c[1:], ratios):
         term = term * x * ratio
@@ -241,17 +243,18 @@ def _laplace_quadrature(probe: LaplaceProbe, nodes: int) -> complex:
     """(Z^{2k}/Gamma(2k)) integral xi^{2k-1} F(xi) e^{-Z xi} dxi, u = Z xi: the
     mean of F(u/Z) under the Gamma(2k) density.
 
-    F is summed at all nodes at once, term by term as bg_series sums it.
+    F is bg_series at each node; only the weighted sum is a numpy call.
     """
     u, w = _gauss_laguerre(nodes, 2.0 * probe.k - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _tower_sum(probe.c, probe._ratios[0], u / probe.Z, np.ones(nodes))
-        rhs = complex(np.dot(w, values))
-    if not (np.isfinite(values).all() and cmath.isfinite(rhs)):
-        raise QuadratureFailure(
-            f"F not finite at the {nodes}-node rule (k={probe.k:g}, Z={probe.Z:g})"
-        )
-    return rhs
+    values = [bg_series(probe, node / probe.Z) for node in u.tolist()]
+    if all(map(cmath.isfinite, values)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = complex(np.dot(w, values))
+        if cmath.isfinite(rhs):
+            return rhs
+    raise QuadratureFailure(
+        f"F not finite at the {nodes}-node rule (k={probe.k:g}, Z={probe.Z:g})"
+    )
 
 
 def laplace_check(probe: LaplaceProbe) -> tuple[complex, complex, float]:

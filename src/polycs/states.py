@@ -33,7 +33,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import AlgebraKind, DeformationSpec
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DivergentSeries, DomainError
 from .hypergeom import SeriesParams, pfq, validate
 
 _RATIO_CAP = 0.999  # truncation requires the local term ratio below this
@@ -154,7 +154,9 @@ def norm_series(
     The gate of every route to a state's numbers: it refuses an su(2) tower
     of more than _MAX_COEFFS states (DomainError, before any root is solved),
     then a non-unitary deformation (UnitarityViolation, from the memoised
-    `DeformationSpec.unitary_roots`).
+    `DeformationSpec.unitary_roots`), then a noncompact tower with an element
+    of 0 (DivergentSeries: a pole of the norm series, which the computed
+    roots may miss by 1e-8 at a double root).
     """
     d = deformation
     if d.is_compact and d.dimension > _MAX_COEFFS:
@@ -162,8 +164,13 @@ def norm_series(
             f"su(2) tower of dimension {d.dimension} exceeds the cap of "
             f"{_MAX_COEFFS} coefficients"
         )
-    roots = d.unitary_roots.roots
-    shifted = tuple(1.0 - r for r in roots)
+    rootset = d.unitary_roots
+    if rootset.zero_at is not None and not d.is_compact:
+        raise DivergentSeries(
+            f"squared ladder element at index {rootset.zero_at} is 0, "
+            "a pole of the norm series"
+        )
+    shifted = tuple(1.0 - r for r in rootset.roots)
     if family is CSFamily.SU2_PCS:
         return SeriesParams((-float(d.two_j),) + shifted, (), -xbar)
     two_k = 2.0 * d.rep_label

@@ -312,24 +312,34 @@ class TestDeformationRoots:
             ]
 
     def test_non_finite_roots_rejected(self, monkeypatch):
-        monkeypatch.setattr(
-            algebra.np.linalg, "eigvals", lambda m: np.full(m.shape[0], np.nan)
-        )
-        with pytest.raises(RootSolveFailure):
-            deformation_roots(su11_spec((1.0, 1.0, 2.0), 3.0))
+        # np.max carried a nan to the verdict; the scalar loop must not drop one,
+        # whether every root or a single one comes out of the eigensolve as nan
+        eigvals = np.linalg.eigvals
+        poisons = [
+            lambda m: np.full(m.shape[0], np.nan),
+            lambda m: np.where(np.arange(m.shape[0]) == 1, np.nan, eigvals(m)),
+            lambda m: np.append(eigvals(m)[1:], complex(1.0, np.nan)),
+        ]
+        for poison in poisons:
+            monkeypatch.setattr(algebra.np.linalg, "eigvals", poison)
+            with pytest.raises(RootSolveFailure, match="overflows at label 3$"):
+                deformation_roots(su11_spec((1.0, 1.0, 2.0), 3.0))
 
     def test_coefficient_overflow_is_typed(self):
         # k(k - 1) squared raises OverflowError at k = 1e100; k(k - 1) is inf at 1e155;
         # at p = 5, k = 3e38 the coefficient products overflow in numpy, which
         # must not leak a RuntimeWarning before the typed error; at p = 4,
         # k = 1e51 the coefficients are finite (up to 8e306) but the backward
-        # error's scale sum_i |c_i| |z|^i overflows, which would pass any root
+        # error's scale sum_i |c_i| |z|^i overflows, which would pass any root;
+        # at p = 3, k = 9.6e76 every coefficient is finite but c_0 / c_2 is not,
+        # which must not reach the eigensolve
         cases = [
             ((1.0, 1.0, 2.0), 1e100),
             ((1.0, 1.0, 2.0), 1e155),
             ((2.0, 1.0, 1.0, 1.0, 3.0), 3e38),
             ((1.0, 1.0, 1.0, 2.0), 1e51),
             ((1.0, 3.0, 3.0, 1.0), 1e51),
+            ((1.0, -1.0, 0.5), 9.6e76),
         ]
         for coeffs, k in cases:
             with pytest.raises(RootSolveFailure):
@@ -401,6 +411,20 @@ class TestValidateUnitarity:
     def test_double_integer_root_passes(self):
         # rho_n = (b - 3.75)^2 >= 0, zero at n = 2 only
         validate_unitarity(su11_spec((12.1875, -7.25, 1.0), 0.5))
+
+    @pytest.mark.parametrize(
+        "spec, zero_at",
+        [
+            (su11_spec((12.1875, -7.25, 1.0), 0.5), 2),
+            (su11_spec((0.4, -0.4, 0.1), 1.0), 1),  # rho_n = (n^2 + n - 2)^2 / 10
+            (su2_spec((-1.0, 0.5), 1.0), 1),  # psi_1 = 0: the state |0>
+            (higgs_su11(3.0), None),
+        ],
+    )
+    def test_records_the_first_zero_element(self, spec, zero_at):
+        # at a double root the solve misses n = 1 or 2 by 2e-8 to 3e-8, so the
+        # element, not the root, tells the gate of a pole
+        assert validate_unitarity(spec).zero_at == zero_at
 
     @given(
         coeffs=st.lists(

@@ -63,6 +63,29 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_past_the_spread():
     assert bench_pairs.summarize(runs, METRICS)[3].endswith("won 8/10 (ties 0)")
 
 
+def test_worse_needs_nine_tenths_of_pairs_lost_and_a_gap_past_the_spread():
+    runs = []
+    for pair in range(10):
+        runs.append(canned("geometry", pair, "parent", 2.0 + 0.01 * pair, 40.0))
+        runs.append(canned("geometry", pair, "change", 3.0 if pair else 1.0, 40.0))
+    p99 = bench_pairs.summarize(runs, METRICS)[3]
+    assert p99.endswith("won 1/10 (ties 0)  worse")
+    runs[3]["result"]["metrics"]["op_p99_norm_ms"]["value"] = 1.0  # pair 1 won too
+    assert bench_pairs.summarize(runs, METRICS)[3].endswith("won 2/10 (ties 0)")
+    # every pair lost, but by less than the parent's spread: no mark
+    runs = []
+    for pair in range(10):
+        runs.append(canned("geometry", pair, "parent", 2.0 + 0.1 * pair, 40.0))
+        runs.append(canned("geometry", pair, "change", 2.05 + 0.1 * pair, 40.0))
+    assert bench_pairs.summarize(runs, METRICS)[3].endswith("won 0/10 (ties 0)")
+    # a tie is not a loss
+    runs = []
+    for pair in range(10):
+        runs.append(canned("geometry", pair, "parent", 2.0, 40.0 + 0.01 * pair))
+        runs.append(canned("geometry", pair, "change", 2.0 if pair < 2 else 3.0, 40.0))
+    assert bench_pairs.summarize(runs, METRICS)[3].endswith("won 0/10 (ties 2)")
+
+
 def test_unpaired_runs_are_left_out():
     runs = [
         canned("geometry", 0, "parent", 0.4, 40.0),

@@ -399,6 +399,16 @@ class TestCLI:
         assert code == 3
         assert "error: DivergentSeries: " in capsys.readouterr().err
 
+    def test_stats_zero_element_at_a_double_root_exit_3(self, capsys):
+        # phi_1 = 0 although the solve puts the double root 2e-8 off n = 1
+        argv = ["--label", "1", "--coeffs=0.4,-0.4,0.1", "--amplitude-re", "0.5"]
+        code = main(["stats", "--family", "su11-bgcs", *argv])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: DivergentSeries: squared ladder element at index 1 is 0, "
+            "a pole of the norm series\n"
+        )
+
     def test_stats_non_unitary_exit_2(self, capsys):
         argv = ["--label", "1.5", "--coeffs=-3,0.25", "--amplitude-re", "0.5"]
         code = main(["stats", "--family", "su11-bgcs", *argv])

@@ -44,6 +44,8 @@ def _outcome(route):
 @example(CSFamily.SU2_PCS, [-0.5], 1.0, 0.5, 4.0)  # psi_1 = 0: |0>
 @example(CSFamily.SU11_PCS, [-1.0], 2.0, 0.5, 2.5)  # rho_1 = 0: a pole
 @example(CSFamily.SU11_BGCS, [-3.0], 0.25, 1.5, 1.0)  # phi_1 < 0
+@example(CSFamily.SU11_BGCS, [0.4, -0.4], 0.1, 1.0, 0.3)  # double root at n = 1
+@example(CSFamily.SU11_PCS, [12.1875, -7.25], 1.0, 0.5, 2.5)  # double root at n = 2
 @settings(max_examples=150, deadline=None)
 def test_every_route_is_gated(family, lower, leading, label, xbar):
     coeffs = (*lower, leading)

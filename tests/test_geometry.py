@@ -338,7 +338,7 @@ class TestLaplaceCheck:
             w[0] = 0.0
 
     def test_vector_quadrature_matches_scalar_series(self):
-        """The all-nodes sum of F gives the bits of the scalar bg_series."""
+        """The rule's sum of F gives the bits of the scalar bg_series."""
         probe = LaplaceProbe(
             normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4]), 3.0, 1.7,
             deformation_coeffs=(1.0, 1.0, 2.0),
@@ -347,6 +347,16 @@ class TestLaplaceCheck:
         values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
         want = complex(np.dot(w, values))
         assert geometry._laplace_quadrature(probe, 64) == want
+
+    # the benchmark's probes: lengths 1..8, so rules of 1..4 nodes, p = 1..3
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0), (1.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_traffic_rule_sizes_match_scalar_series(self, length, coeffs):
+        rng = np.random.default_rng(length)
+        probe = random_probe(rng, length, 0.5 + length / 4, 1.3, coeffs)
+        u, w = geometry._gauss_laguerre((length + 1) // 2, 2.0 * probe.k - 1.0)
+        values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
+        assert laplace_check(probe)[1] == complex(np.dot(w, values))
 
     def test_gauss_laguerre_path_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="polycs.geometry")
