@@ -55,7 +55,8 @@ class AlgebraKind(enum.Enum):
 class DeformationSpec:
     """Parameters of one odd-degree (2p-1) polynomial deformation.
 
-    coeffs holds the p structure-function coefficients (all nonzero).
+    coeffs holds the structure-function coefficients c_1 .. c_p (at least
+    one, all finite and nonzero); their count is the order p.
     rep_label is j (half-integer, compact) or k (positive real, noncompact).
     A spec is constructible with parameters that break unitarity (so the
     validator can diagnose them).  The coherent-state layer reads the roots
@@ -64,19 +65,14 @@ class DeformationSpec:
     """
 
     kind: AlgebraKind
-    p: int
     coeffs: tuple[float, ...]
     rep_label: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "rep_label", float(self.rep_label))
-        if self.p < 1:
-            raise DomainError(f"p must be a positive integer, got {self.p}")
-        if len(self.coeffs) != self.p:
-            raise DomainError(
-                f"expected {self.p} coefficients, got {len(self.coeffs)}"
-            )
+        if not self.coeffs:
+            raise DomainError("a deformation needs at least one coefficient")
         if not all(c != 0.0 and math.isfinite(c) for c in self.coeffs):
             raise DomainError(
                 f"deformation coefficients must be finite and nonzero, got {self.coeffs}"
@@ -89,6 +85,11 @@ class DeformationSpec:
             two_j = 2.0 * self.rep_label
             if abs(two_j - round(two_j)) > _HALF_INT_TOL:
                 raise DomainError(f"j must be a half-integer, got {self.rep_label}")
+
+    @property
+    def p(self) -> int:
+        """Order of the deformation: the number of coefficients."""
+        return len(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -132,11 +133,11 @@ class RootSet:
 
 
 def su2_spec(coeffs, j) -> DeformationSpec:
-    return DeformationSpec(AlgebraKind.SU2_LIKE, len(tuple(coeffs)), tuple(coeffs), j)
+    return DeformationSpec(AlgebraKind.SU2_LIKE, coeffs, j)
 
 
 def su11_spec(coeffs, k) -> DeformationSpec:
-    return DeformationSpec(AlgebraKind.SU11_LIKE, len(tuple(coeffs)), tuple(coeffs), k)
+    return DeformationSpec(AlgebraKind.SU11_LIKE, coeffs, k)
 
 
 def structure_function(spec: DeformationSpec, m: float) -> float:
@@ -223,8 +224,7 @@ def deformation_factor(spec: DeformationSpec, n: float) -> float:
         a = k * (k - 1.0)
         b = (k + n) * (k + n - 1.0)
     acc = 0.0
-    for r in range(1, spec.p + 1):
-        c_r = spec.coeffs[r - 1]
+    for r, c_r in enumerate(spec.coeffs, 1):
         inner = 0.0
         for s in range(1, r + 1):
             inner += a ** (r - s) * b ** (s - 1)
@@ -255,15 +255,16 @@ def deformation_poly_coeffs(spec: DeformationSpec) -> list[float]:
     else:
         a = label * (label - 1.0)
         base = (a, 2.0 * label - 1.0, 1.0)
-    out = [0.0] * (2 * spec.p - 1)
+    p = spec.p
+    out = [0.0] * (2 * p - 1)
     q_pow = [1.0]
-    for s in range(1, spec.p + 1):
+    for s in range(1, p + 1):
         weight = 0.0
-        for r in range(s, spec.p + 1):
+        for r in range(s, p + 1):
             weight += spec.coeffs[r - 1] * a ** (r - s)
         for i, q in enumerate(q_pow):
             out[i] += weight * q
-        if s < spec.p:
+        if s < p:
             q_pow = np.convolve(q_pow, base).tolist()
     return out
 

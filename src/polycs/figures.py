@@ -66,7 +66,8 @@ _QUANTITIES = ("photdist", "mean", "intcorr", "mandel", "metric")
 
 @dataclass(frozen=True)
 class FigureDef:
-    figure_id: str
+    """One catalog panel; its id is its `FIGURE_CATALOG` key."""
+
     family: CSFamily
     higgs: bool
     quantity: str
@@ -97,8 +98,7 @@ def _build_catalog() -> dict[str, FigureDef]:
     for prefix, higgs in (("", False), ("n", True)):
         for token, family in _FAMILY_TOKENS.items():
             for quantity in _QUANTITIES:
-                fid = f"{prefix}{token}-{quantity}"
-                catalog[fid] = FigureDef(fid, family, higgs, quantity)
+                catalog[f"{prefix}{token}-{quantity}"] = FigureDef(family, higgs, quantity)
     return catalog
 
 
@@ -199,12 +199,6 @@ def _norm_table(
     )
 
 
-def _format_value(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".17g")
-
-
 def _label_column(label: float) -> str:
     return f"label_{format(label, 'g')}"
 
@@ -213,10 +207,6 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
     """(header, rows) of the requested figure."""
     fig = FIGURE_CATALOG[req.figure_id]
     grid = req.grid if req.grid is not None else fig.default_grid()
-    if fig.family is CSFamily.SU11_PCS and not fig.higgs and grid.xbar_max >= 1.0:
-        raise DomainError(
-            "linear su(1,1) displacement figures need an xbar grid below 1"
-        )
     labels = grid.labels
     header_tail = [_label_column(v) for v in labels]
 
@@ -255,9 +245,10 @@ def render_figure(req: FigureRequest) -> str:
     """Figure serialized to its textual format."""
     header, rows = figure_rows(req)
     if req.fmt == "csv":
+        # "%" and format() share CPython's float formatter: nan prints "nan"
+        template = ",".join(["%.17g"] * len(header))
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_format_value(v) for v in row))
+        lines.extend(template % tuple(row) for row in rows)
         return "\n".join(lines) + "\n"
     lines = []
     for row in rows:

@@ -70,10 +70,10 @@ class LoopSpec:
     angular_rate: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise DomainError(f"loop radius must be positive, got {self.radius}")
-        if self.angular_rate == 0.0:
-            raise DomainError("angular rate must be nonzero")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError(f"loop radius must be positive and finite, got {self.radius}")
+        if not 0.0 < abs(self.angular_rate) < math.inf:
+            raise DomainError(f"angular rate must be nonzero and finite, got {self.angular_rate}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,9 @@ class LaplaceProbe:
     """Finite normalized tower vector plus the transform parameters.
 
     deformation_coeffs selects the noncompact deformation entering the
-    [rho_n]! weights; the default (1,) is the undeformed case.
+    [rho_n]! weights; the default (1,) is the undeformed case.  The
+    deformation at label k is built with the probe, so its rules on the
+    label and the coefficients hold for every probe.
     """
 
     c: tuple[complex, ...]
@@ -92,13 +94,11 @@ class LaplaceProbe:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
         norm = math.sqrt(sum(abs(v) ** 2 for v in self.c))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise DomainError(f"probe coefficients must be normalized, |c| = {norm}")
-        if self.k <= 0.0:
-            raise DomainError(f"k must be positive, got {self.k}")
-        if self.Z <= 0.0:
-            raise DomainError(f"Z must be positive, got {self.Z}")
-        if not self.deformation_coeffs or self.deformation_coeffs[-1] <= 0.0:
+        if not 0.0 < self.Z < math.inf:
+            raise DomainError(f"Z must be positive and finite, got {self.Z}")
+        if self.deformation.coeffs[-1] <= 0.0:
             raise DomainError("probe deformation needs a positive leading coefficient")
 
     @cached_property
@@ -271,8 +271,14 @@ def gamma_quadrature_probe(n: int, k: float) -> float:
 
     This is the scaled integral representation Gamma(n+2k) =
     Z^{2k+n} integral xi^{2k+n-1} e^{-Z xi} dxi after u = Z xi, where the Z
-    powers cancel identically; the rule's weights carry 1/Gamma(2k).
+    powers cancel identically; the rule's weights carry 1/Gamma(2k).  An n
+    outside 0..127, where the rule is exact, or a k not positive and finite
+    is a DomainError.
     """
+    if n not in range(2 * _GAMMA_PROBE_NODES):
+        raise DomainError(f"n must be an integer in 0..{2 * _GAMMA_PROBE_NODES - 1}, got {n}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got {k}")
     try:
         gamma_2k = math.gamma(2.0 * k)
     except OverflowError:

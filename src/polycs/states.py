@@ -101,12 +101,11 @@ class CSSpec:
 class CoefficientVector:
     """Truncated expansion coefficients over the integer tower basis.
 
-    tail_bound is an l2 amplitude bound on everything at and beyond the last
-    kept index (0 for exact finite towers).
+    The last kept index is coeffs.size - 1.  tail_bound is an l2 amplitude
+    bound on everything at and beyond it (0 for exact finite towers).
     """
 
     coeffs: np.ndarray
-    truncation: int
     tail_bound: float
 
     def __post_init__(self) -> None:
@@ -206,7 +205,7 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     The state first meets the norm series' refusals (`norm_series`, then
     `hypergeom.validate`: a zero noncompact element is DivergentSeries).  One
     ratio recurrence builds the tower: compact states keep all of it
-    (truncation = 2j exactly); noncompact states grow until the last
+    (2j + 1 coefficients exactly); noncompact states grow until the last
     coefficient drops below eps (finite, >= 0) of the running norm while the
     local ratio signals decay; a running norm past float range is
     ConvergenceFailure.  The step loop reads its squared ladder elements from
@@ -216,7 +215,7 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     validate(series_params(spec))
     compact = spec.family is CSFamily.SU2_PCS
     if spec.amplitude == 0.0 and not compact:
-        return CoefficientVector(np.ones(1, dtype=complex), 0, 0.0)
+        return CoefficientVector(np.ones(1, dtype=complex), 0.0)
 
     d, amp = spec.deformation, spec.amplitude
     bgcs = spec.family is CSFamily.SU11_BGCS
@@ -259,7 +258,7 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     arr = np.array(coeffs, dtype=complex)
     arr /= np.linalg.norm(arr)
     tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), _RATIO_CAP))
-    return CoefficientVector(arr, n, tail)
+    return CoefficientVector(arr, tail)
 
 
 def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVector:
@@ -269,7 +268,7 @@ def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVe
     out = np.zeros(size, dtype=complex)
     for n in range(src.size - 1):
         out[n] = math.sqrt(algebra.ladder_sq(spec, n + 1)) * src[n + 1]
-    return CoefficientVector(out, size - 1, v.tail_bound)
+    return CoefficientVector(out, v.tail_bound)
 
 
 def bg_eigen_residual(spec: CSSpec) -> float:

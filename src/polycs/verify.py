@@ -28,7 +28,7 @@ from .states import (
 )
 
 GRID_LABELS = (0.5, 1.0, 3.0, 8.0)
-_GRID_COEFFS = {1: (2.0,), 2: (1.0, 2.0), 3: (1.0, 1.0, 2.0)}
+_GRID_COEFFS = ((2.0,), (1.0, 2.0), (1.0, 1.0, 2.0))
 _SEED = 20240817
 
 
@@ -44,9 +44,9 @@ class CheckResult:
 def _grid_specs() -> list[DeformationSpec]:
     specs = []
     for kind in AlgebraKind:
-        for p, coeffs in _GRID_COEFFS.items():
+        for coeffs in _GRID_COEFFS:
             for label in GRID_LABELS:
-                specs.append(DeformationSpec(kind, p, coeffs, label))
+                specs.append(DeformationSpec(kind, coeffs, label))
     return specs
 
 

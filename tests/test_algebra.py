@@ -30,15 +30,15 @@ from polycs.errors import DomainError, RootSolveFailure, UnitarityViolation
 from polycs.hypergeom import pochhammer
 
 GRID_LABELS = (0.5, 1.0, 3.0, 8.0)
-GRID_COEFFS = {1: (2.0,), 2: (1.0, 2.0), 3: (1.0, 1.0, 2.0)}
-P4_COEFFS = {4: (1.0, 1.0, 1.0, 2.0)}  # root tests only
+GRID_COEFFS = ((2.0,), (1.0, 2.0), (1.0, 1.0, 2.0))
+P4_COEFFS = ((1.0, 1.0, 1.0, 2.0),)  # root tests only
 
 
 def grid_specs(grid_coeffs=GRID_COEFFS):
     return [
-        DeformationSpec(kind, p, coeffs, label)
+        DeformationSpec(kind, coeffs, label)
         for kind in AlgebraKind
-        for p, coeffs in grid_coeffs.items()
+        for coeffs in grid_coeffs
         for label in GRID_LABELS
     ]
 
@@ -435,7 +435,7 @@ class TestValidateUnitarity:
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_a_scan(self, coeffs, kind, twice_label):
-        spec = DeformationSpec(kind, len(coeffs), tuple(coeffs), twice_label / 2.0)
+        spec = DeformationSpec(kind, coeffs, twice_label / 2.0)
         top = spec.two_j if spec.is_compact else 400
 
         def outcome(check):
@@ -508,16 +508,27 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             su11_spec((1.0,), -2.0)
 
-    def test_rejects_coeff_count_mismatch(self):
-        with pytest.raises(DomainError):
-            DeformationSpec(AlgebraKind.SU2_LIKE, 2, (1.0,), 1.0)
+    def test_rejects_empty_coefficients(self):
+        for kind in AlgebraKind:
+            with pytest.raises(DomainError, match="at least one coefficient"):
+                DeformationSpec(kind, (), 1.0)
+
+    def test_order_is_the_coefficient_count(self):
+        for coeffs in GRID_COEFFS + P4_COEFFS:
+            assert su11_spec(coeffs, 1.0).p == len(coeffs)
+
+    @pytest.mark.parametrize("build", [su2_spec, su11_spec])
+    def test_builds_from_a_generator(self, build):
+        # the coefficients are read once, so a one-shot iterable is enough
+        spec = build((c for c in (1.0, 2.0)), 1.0)
+        assert spec.coeffs == (1.0, 2.0) and spec.p == 2
 
     @pytest.mark.parametrize("kind", list(AlgebraKind))
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_label_and_coefficient(self, kind, bad):
         with pytest.raises(DomainError, match="label must be positive and finite"):
-            DeformationSpec(kind, 1, (1.0,), bad)
+            DeformationSpec(kind, (1.0,), bad)
         with pytest.raises(DomainError, match="coefficients must be finite and nonzero"):
-            DeformationSpec(kind, 2, (bad, 2.0), 1.0)
+            DeformationSpec(kind, (bad, 2.0), 1.0)
         with pytest.raises(DomainError, match="coefficients must be finite and nonzero"):
-            DeformationSpec(kind, 2, (1.0, bad), 1.0)
+            DeformationSpec(kind, (1.0, bad), 1.0)

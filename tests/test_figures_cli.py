@@ -102,6 +102,14 @@ class TestFigureContent:
         with pytest.raises(DomainError):
             figure_rows(FigureRequest("su11-pcs-mandel", grid=grid))
 
+    def test_linear_pcs_distribution_ignores_the_grid_range(self):
+        # a distribution sits at one xbar (0.5 by default); only the grid's
+        # labels reach it, so a range past 1 is no domain error
+        grid = GridSpec(0.0, 1.5, 10, (1.0,))
+        header, rows = figure_rows(FigureRequest("su11-pcs-photdist", grid=grid))
+        assert header == ["n", "label_1"]
+        assert sum(row[1] for row in rows) == pytest.approx(1.0, abs=1e-10)
+
     def test_intcorr_nan_at_origin(self):
         _, rows = figure_rows(FigureRequest("su2-intcorr"))
         assert all(math.isnan(v) for v in rows[0][1:])
@@ -450,6 +458,12 @@ class TestCLI:
     def test_figure_bad_grid_exit_2(self, capsys):
         code = main(["figure", "su11-pcs-mandel", "--grid", "0:2:10"])
         assert code == 2
+
+    def test_figure_distribution_with_a_wide_grid(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = main(["figure", "su11-pcs-photdist", "--grid", "0:2:10", "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == render_figure(FigureRequest("su11-pcs-photdist"))
 
     @pytest.mark.parametrize(
         "argv",

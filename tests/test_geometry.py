@@ -198,6 +198,17 @@ class TestBerryPhaseLoop:
         with pytest.raises(DomainError):
             LoopSpec(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_loopspec_refuses_a_non_finite_radius(self, bad):
+        with pytest.raises(DomainError, match="radius must be positive and finite"):
+            LoopSpec(bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_loopspec_refuses_a_non_finite_rate(self, bad):
+        # a nan rate gave a finite phase: -2 pi for linear su(2), j = 1, r = 1
+        with pytest.raises(DomainError, match="angular rate must be nonzero and finite"):
+            LoopSpec(1.0, bad)
+
 
 class TestOverlapDerivativeFD:
     def test_zero_velocity(self):
@@ -386,6 +397,28 @@ class TestLaplaceCheck:
         with pytest.raises(DomainError):
             LaplaceProbe((1.0,), 1.0, 0.0)
 
+    @pytest.mark.parametrize("c", [(math.nan,), (0.6, math.nan), (math.nan, 0.8j)])
+    def test_probe_refuses_a_nan_coefficient(self, c):
+        with pytest.raises(DomainError, match="must be normalized"):
+            LaplaceProbe(c, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z_val", [math.nan, math.inf])
+    def test_probe_refuses_a_non_finite_z(self, z_val):
+        # Z = nan gave (1, 1, 0) for c = (1,), as if the identity held
+        with pytest.raises(DomainError, match="Z must be positive and finite"):
+            LaplaceProbe((1.0,), 1.0, z_val)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_length_one_probe_checks_its_label(self, k):
+        # the deformation is built with the probe, whatever its length
+        with pytest.raises(DomainError, match="label must be positive and finite"):
+            LaplaceProbe((1.0,), k, 1.0)
+
+    @pytest.mark.parametrize("coeffs", [(), (math.nan,), (1.0, math.inf)])
+    def test_length_one_probe_checks_its_coefficients(self, coeffs):
+        with pytest.raises(DomainError, match="at least one coefficient|finite and nonzero"):
+            LaplaceProbe((1.0,), 1.0, 1.0, deformation_coeffs=coeffs)
+
 
 class TestLongProbes:
     """Probes far longer than any rule-size floor; the tower terms come from
@@ -444,6 +477,20 @@ class TestGammaQuadrature:
         # Gamma(180) is past float range
         with pytest.raises(DomainError):
             gamma_quadrature_probe(1, 90.0)
+
+    def test_exact_for_the_top_power(self):
+        assert gamma_quadrature_probe(127, 0.5) == pytest.approx(math.gamma(128.0), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [-1, 128, 2.5, math.nan])
+    def test_power_outside_the_exact_range_is_domain_error(self, n):
+        # n = -1 gave 0.985 for Gamma(1) = 1
+        with pytest.raises(DomainError, match="n must be an integer in 0..127"):
+            gamma_quadrature_probe(n, 0.5)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -0.25])
+    def test_label_not_positive_and_finite_is_domain_error(self, k):
+        with pytest.raises(DomainError, match="k must be positive and finite"):
+            gamma_quadrature_probe(1, k)
 
 
 class TestSeriesDuality:

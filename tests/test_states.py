@@ -38,7 +38,7 @@ LABELS = (0.5, 1.0, 3.0, 8.0)
 def basis_vector(n, size):
     arr = np.zeros(size, dtype=complex)
     arr[n] = 1.0
-    return CoefficientVector(arr, size - 1, 0.0)
+    return CoefficientVector(arr, 0.0)
 
 
 class TestCSSpec:
@@ -131,7 +131,6 @@ class TestCoefficients:
         for j in LABELS:
             spec = CSSpec(CSFamily.SU2_PCS, higgs_su2(j), 0.8 + 0.2j)
             vec = coefficients(spec)
-            assert vec.truncation == int(2 * j)
             assert vec.coeffs.size == int(2 * j) + 1
 
     def test_bgcs_linear_double_factorial(self):
@@ -183,7 +182,7 @@ class TestCoefficients:
     def test_oversized_su2_tower_rejected(self):
         # 2j + 1 = 10,000 entries is the cap; one more is refused, before any
         # array of the tower's size is allocated
-        assert coefficients(cs_from_xbar(CSFamily.SU2_PCS, linear_su2(4999.5), 1.0)).truncation == 9999
+        assert coefficients(cs_from_xbar(CSFamily.SU2_PCS, linear_su2(4999.5), 1.0)).coeffs.size == 10_000
         for j, dim in ((5000.0, 10001), (1e12, 2 * 10**12 + 1)):
             spec = cs_from_xbar(CSFamily.SU2_PCS, linear_su2(j), 1.0)
             with pytest.raises(DomainError, match=f"dimension {dim} exceeds the cap of 10000"):
@@ -194,7 +193,7 @@ class TestCoefficients:
         spec = CSSpec(CSFamily.SU11_BGCS, higgs_su11(1.0), 1.0)
         vec = coefficients(spec, eps=0.0)
         assert vec.coeffs[-1] == 0.0
-        assert vec.truncation > coefficients(spec).truncation
+        assert vec.coeffs.size > coefficients(spec).coeffs.size
 
     @pytest.mark.parametrize("family", [CSFamily.SU11_BGCS, CSFamily.SU11_PCS])
     @pytest.mark.parametrize("amplitude", [0.0, 200.0])
@@ -245,7 +244,7 @@ def reference_coefficients(spec, eps):
     validate(series_params(spec))
     compact = spec.family is CSFamily.SU2_PCS
     if spec.amplitude == 0.0 and not compact:
-        return CoefficientVector(np.ones(1, dtype=complex), 0, 0.0)
+        return CoefficientVector(np.ones(1, dtype=complex), 0.0)
     coeffs = [complex(1.0)]
     sumsq = 1.0
     recent = []
@@ -275,16 +274,17 @@ def reference_coefficients(spec, eps):
     arr = np.array(coeffs, dtype=complex)
     arr /= np.linalg.norm(arr)
     tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), 0.999))
-    return CoefficientVector(arr, n, tail)
+    return CoefficientVector(arr, tail)
 
 
 def tower_outcome(build, spec, eps):
-    """The vector's bytes, truncation and tail bits, or the error's type and text."""
+    """The vector's bytes (its length among them) and tail bits, or the error's
+    type and text."""
     try:
         vec = build(spec, eps)
     except Exception as exc:  # the reference's own failures are compared too
         return type(exc), str(exc)
-    return vec.coeffs.tobytes(), vec.truncation, vec.tail_bound.hex()
+    return vec.coeffs.tobytes(), vec.tail_bound.hex()
 
 
 @st.composite
@@ -345,7 +345,7 @@ class TestLadderMaps:
     def test_linearity(self, scale):
         spec = higgs_su11(1.0)
         vec = basis_vector(2, 4)
-        scaled = CoefficientVector(scale * vec.coeffs, vec.truncation, 0.0)
+        scaled = CoefficientVector(scale * vec.coeffs, 0.0)
         out_scaled = apply_lowering(spec, scaled)
         out_base = apply_lowering(spec, vec)
         assert np.allclose(out_scaled.coeffs, scale * out_base.coeffs)

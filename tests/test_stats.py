@@ -292,7 +292,7 @@ class TestDirectMoments:
     def test_fock_state(self):
         from polycs.states import CoefficientVector
 
-        vec = CoefficientVector(np.array([0.0, 1.0], dtype=complex), 1, 0.0)
+        vec = CoefficientVector(np.array([0.0, 1.0], dtype=complex), 0.0)
         mean, fact2, var = direct_moments(vec)
         assert (mean, fact2, var) == (1.0, 0.0, 0.0)
 
