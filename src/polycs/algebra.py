@@ -92,11 +92,6 @@ class DeformationSpec:
         return len(self.coeffs)
 
     @property
-    def degree(self) -> int:
-        """Degree of the commutator polynomial."""
-        return 2 * self.p - 1
-
-    @property
     def is_compact(self) -> bool:
         return self.kind is AlgebraKind.SU2_LIKE
 
@@ -210,11 +205,11 @@ def ladder_sq(spec: DeformationSpec, n: int) -> float:
 
 
 def deformation_factor(spec: DeformationSpec, n: float) -> float:
-    """chi_n / rho_n: the degree-(2p-2) polynomial part of the ladder element.
+    """chi_n / rho_n, the degree-(2p-2) polynomial part of the ladder element,
+    as an oracle only: every tower walk reads `ladder_elements`.
 
     Evaluated as the double sum over the structure-function expansion; equals
-    the leading coefficient identically when p = 1.
-    """
+    the leading coefficient identically when p = 1."""
     if spec.is_compact:
         j = spec.rep_label
         a = j * (j + 1.0)

@@ -30,11 +30,12 @@ integrates exactly.  There is no other quadrature, fallback or log record:
 the closed series G is the identity's independent oracle.
 
 Tower terms come from ratio recurrences (t_n = t_{n-1} xi r_n for F, s_n =
-s_{n-1} q_n for G), computed once per probe, so no factorial-sized quantity
-is formed.  The rule evaluates F with the scalar series itself, bg_series on
-Python complexes at each node, so the quadrature has that route's bits by
-construction; the weighted sum over the nodes is the one numpy call.  A
-non-finite series raises QuadratureFailure.
+s_{n-1} q_n for G, the families' coefficient ratios at unit amplitude on the
+ladder rule, `algebra.ladder_elements`), computed once per probe, so no
+factorial-sized quantity is formed.  The rule evaluates F with the scalar
+series itself, bg_series on Python complexes at each node, so the quadrature
+has that route's bits by construction; the weighted sum over the nodes is the
+one numpy call.  A non-finite series raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import ConvergenceFailure, DomainError, QuadratureFailure
 from .states import CSSpec, coefficients, series_params, series_variable
 from .stats import norm_and_slope
 
-# Gauss-Laguerre rules kept in memory, one per (node count, 2k - 1) pair; each
+# Gauss-Laguerre rules kept in memory, one per (node count, 2k) pair; each
 # holds two arrays of at most a few hundred floats.
 _GAUSS_LAGUERRE_RULES = 32
 # Berry connections kept in memory, one float per state: a caller that asks
@@ -81,7 +82,7 @@ class LaplaceProbe:
     """Finite normalized tower vector plus the transform parameters.
 
     deformation_coeffs selects the noncompact deformation entering the
-    [rho_n]! weights; the default (1,) is the undeformed case.  The
+    [phi_n]! weights; the default (1,) is the undeformed case.  The
     deformation at label k is built with the probe, so its rules on the
     label and the coefficients hold for every probe.
     """
@@ -107,16 +108,16 @@ class LaplaceProbe:
 
     @cached_property
     def _ratios(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(r, q) for n = 1 .. len(c) - 1: r_n = 1/sqrt(n (2k+n-1) rho_n) and
-        q_n = sqrt((2k+n-1)/(n rho_n))/Z, the term ratios of F and G(1/Z)."""
-        two_k = 2.0 * self.k
+        """(r, q) for n = 1 .. len(c) - 1, the term ratios of F and G(1/Z):
+        r_n = 1/sqrt(phi_n), q_n = (2k + (n - 1)) r_n / Z from one ladder walk;
+        a phi_n < 0 is its UnitarityViolation, a phi_n of 0 a DomainError."""
         r, q = [], []
-        for n in range(1, len(self.c)):
-            rho = algebra.deformation_factor(self.deformation, float(n))
-            if not rho > 0.0:
-                raise DomainError(f"probe deformation gives rho_{n} = {rho} <= 0")
-            r.append(1.0 / math.sqrt(n * (two_k + n - 1.0) * rho))
-            q.append(math.sqrt((two_k + n - 1.0) / (n * rho)) / self.Z)
+        elements = algebra.ladder_elements(self.deformation, 1, len(self.c))
+        for n, phi in enumerate(elements, 1):
+            if phi == 0.0:
+                raise DomainError(f"probe deformation gives phi_{n} = 0")
+            r.append(1.0 / math.sqrt(phi))
+            q.append((2.0 * self.k + (n - 1)) * r[-1] / self.Z)
         return tuple(r), tuple(q)
 
 
@@ -203,13 +204,13 @@ def pcs_series_at_inverse(probe: LaplaceProbe) -> complex:
     return _tower_sum(probe.c, probe._ratios[1], 1.0, 1.0)
 
 
-def _laguerre_pair(n: int, alpha: float, u: np.ndarray):
-    """(L_{n-1}, L_n)^(alpha) at u, each step divided by max(|L_{m-1}|, |L_m|) so
+def _laguerre_pair(n: int, two_k: float, u: np.ndarray):
+    """(L_{n-1}, L_n)^(2k-1) at u, each step divided by max(|L_{m-1}|, |L_m|) so
     nothing overflows or vanishes, and the log of the scale divided out."""
-    p0, p1 = np.ones_like(u), 1.0 + alpha - u
+    p0, p1 = np.ones_like(u), two_k - u
     log_scale = np.zeros_like(u)
     for m in range(1, n):
-        p0, p1 = p1, ((2.0 * m + 1.0 + alpha - u) * p1 - (m + alpha) * p0) / (m + 1.0)
+        p0, p1 = p1, ((2.0 * m + two_k - u) * p1 - (m - 1.0 + two_k) * p0) / (m + 1.0)
         scale = np.maximum(np.abs(p0), np.abs(p1))
         p0, p1 = p0 / scale, p1 / scale
         log_scale += np.log(scale)
@@ -217,20 +218,20 @@ def _laguerre_pair(n: int, alpha: float, u: np.ndarray):
 
 
 @lru_cache(maxsize=_GAUSS_LAGUERRE_RULES)
-def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule for the density u^alpha e^{-u} / Gamma(alpha + 1),
+def _gauss_laguerre(nodes: int, two_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule for the density u^{2k-1} e^{-u} / Gamma(2k),
     read-only as they are shared.  Nodes are Jacobi-matrix eigenvalues after one
     Newton step on L_n; weights, proportional to 1/(L_{n-1} L_n'), are formed in
     logs and sum to 1, so each is accurate relative to its own size (squared
-    eigenvector components are not) and no alpha overflows them."""
-    diag = 2.0 * np.arange(nodes) + alpha + 1.0
+    eigenvector components are not) and no k overflows them."""
+    diag = 2.0 * np.arange(nodes) + two_k
     i = np.arange(1.0, nodes)
-    off = np.sqrt(i * (i + alpha))
+    off = np.sqrt(i * (i - 1.0 + two_k))
     u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    p0, p1, _ = _laguerre_pair(nodes, alpha, u)
-    u = u - u * p1 / (nodes * p1 - (nodes + alpha) * p0)
-    p0, p1, log_scale = _laguerre_pair(nodes, alpha, u)
-    u_derivative = nodes * p1 - (nodes + alpha) * p0  # u L_n', scaled like p0, p1
+    p0, p1, _ = _laguerre_pair(nodes, two_k, u)
+    u = u - u * p1 / (nodes * p1 - (nodes - 1.0 + two_k) * p0)
+    p0, p1, log_scale = _laguerre_pair(nodes, two_k, u)
+    u_derivative = nodes * p1 - (nodes - 1.0 + two_k) * p0  # u L_n', scaled like p0, p1
     log_w = np.log(u / np.abs(p0 * u_derivative)) - 2.0 * log_scale
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
@@ -245,7 +246,7 @@ def _laplace_quadrature(probe: LaplaceProbe, nodes: int) -> complex:
 
     F is bg_series at each node; only the weighted sum is a numpy call.
     """
-    u, w = _gauss_laguerre(nodes, 2.0 * probe.k - 1.0)
+    u, w = _gauss_laguerre(nodes, 2.0 * probe.k)
     values = [bg_series(probe, node / probe.Z) for node in u.tolist()]
     if all(map(cmath.isfinite, values)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -283,5 +284,5 @@ def gamma_quadrature_probe(n: int, k: float) -> float:
         gamma_2k = math.gamma(2.0 * k)
     except OverflowError:
         raise DomainError(f"Gamma(2k) is past float range at k={k:g}") from None
-    u, w = _gauss_laguerre(_GAMMA_PROBE_NODES, 2.0 * k - 1.0)
+    u, w = _gauss_laguerre(_GAMMA_PROBE_NODES, 2.0 * k)
     return gamma_2k * float(np.dot(w, u ** float(n)))

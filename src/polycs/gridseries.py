@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from . import hypergeom
 from .hypergeom import SMALL_RUN, SeriesParams, validate
 
 
@@ -58,8 +59,8 @@ class GridResult:
     """Real parts, imaginary parts and terms of every cell, each (args, rows).
 
     cell_terms is the terms_used `pfq` reports for the cell, or 0 where its
-    series did not settle within max_terms; the caller, which knows what a
-    cell stands for, raises.  terms_used sums cell_terms.
+    series did not settle within `hypergeom.MAX_TERMS`; the caller, which
+    knows what a cell stands for, raises.  terms_used sums cell_terms.
     """
 
     real: np.ndarray
@@ -130,13 +131,14 @@ def _modulus(re, im):
     return np.abs(re) if im is None else np.hypot(re, im)
 
 
-def pfq_grid(grid: SeriesGrid, eps: float, max_terms: int) -> GridResult:
+def pfq_grid(grid: SeriesGrid) -> GridResult:
     """Every cell of `grid` by the term recurrence, as `pfq` computes it.
 
     `validate` runs once per row, at the argument of largest modulus: its
     one argument-dependent check (a balanced series needs |arg| < 1) fails
     there if it fails at any argument of the row.
     """
+    eps, max_terms = hypergeom.EPS, hypergeom.MAX_TERMS
     n_rows = len(grid.numer)
     p, q = (len(grid.numer[0]), len(grid.denom[0])) if n_rows else (0, 0)
     numer = np.array(grid.numer, dtype=complex).reshape(n_rows, p)

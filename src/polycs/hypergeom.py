@@ -12,7 +12,7 @@ alternate in sign, and plain summation loses digits at large argument.
 
 Terminating series (an upper parameter equal to a non-positive integer) are
 summed exactly; otherwise summation stops once five consecutive terms fall
-below eps relative to the partial sum, which guards series whose early terms
+below EPS relative to the partial sum, which guards series whose early terms
 are not monotone.
 
 `pfq` runs one loop body on Python floats when every parameter has a zero
@@ -52,8 +52,8 @@ if TYPE_CHECKING:
 # tolerance only guards float parsing.
 TERMINATION_TOL = 1e-12
 
-DEFAULT_EPS = 1e-14
-DEFAULT_MAX_TERMS = 10_000
+EPS = 1e-14
+MAX_TERMS = 10_000
 SMALL_RUN = 5
 
 
@@ -143,23 +143,20 @@ def shift_params(params: SeriesParams) -> SeriesParams:
     )
 
 
-def pfq(
-    params: SeriesParams | SeriesGrid,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult | GridResult:
+def pfq(params: SeriesParams | SeriesGrid) -> SeriesResult | GridResult:
     """Evaluate pFq(numer; denom; arg) by the term recurrence.
 
     With all parameters real the loop runs on floats, with the bits of the
     complex loop (see the module docstring).  A SeriesGrid runs in one numpy
-    loop instead; a cell that does not settle within max_terms reports 0
+    loop instead; a cell that does not settle within MAX_TERMS reports 0
     terms there rather than raising.
     """
     if not isinstance(params, SeriesParams):
         from .gridseries import pfq_grid
 
-        return pfq_grid(params, eps, max_terms)
+        return pfq_grid(params)
     stop = validate(params)
+    eps, max_terms = EPS, MAX_TERMS  # locals for the term loop
     numer, denom, kind = params.numer, params.denom, complex
     if all(v.imag == 0.0 for v in numer + denom):
         numer = tuple(a.real for a in numer)

@@ -34,13 +34,13 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraKind, DeformationSpec
 from .errors import ConvergenceFailure, DivergentSeries, DomainError
-from .hypergeom import SeriesParams, pfq, validate
+from .hypergeom import MAX_TERMS, SeriesParams, pfq, validate
 
 _RATIO_CAP = 0.999  # truncation requires the local term ratio below this
 _RESCALE_AT = 1e150
 # Recurrence steps before the noncompact tower gives up, and the largest su(2)
 # tower dimension accepted: a larger one's norm series outruns `pfq`'s term cap.
-_MAX_COEFFS = 10_000
+_MAX_COEFFS = MAX_TERMS
 
 
 class CSFamily(enum.Enum):
@@ -262,12 +262,13 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
 
 
 def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVector:
-    """Unnormalized lowering action: out_n = sqrt(ladder_sq(n+1)) v_{n+1}."""
+    """Unnormalized lowering action: out_n = sqrt(ladder element n+1) v_{n+1}."""
     src = v.coeffs
-    size = max(src.size - 1, 1)
-    out = np.zeros(size, dtype=complex)
-    for n in range(src.size - 1):
-        out[n] = math.sqrt(algebra.ladder_sq(spec, n + 1)) * src[n + 1]
+    if spec.is_compact and src.size > spec.dimension + 1:
+        raise DomainError(f"{src.size} entries outrun the {spec.dimension}-state tower")
+    out = np.zeros(max(src.size - 1, 1), dtype=complex)
+    for n, value in enumerate(algebra.ladder_elements(spec, 1, src.size)):
+        out[n] = math.sqrt(value) * src[n + 1]
     return CoefficientVector(out, v.tail_bound)
 
 

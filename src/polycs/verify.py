@@ -41,6 +41,11 @@ class CheckResult:
     note: str = ""
 
 
+def _below(name: str, err: float, tol: float) -> CheckResult:
+    """A check that passes when its worst error stays strictly below tol."""
+    return CheckResult(name, err < tol, err, tol)
+
+
 def _grid_specs() -> list[DeformationSpec]:
     specs = []
     for kind in AlgebraKind:
@@ -78,7 +83,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
             lhs = algebra.ladder_sq(spec, n) - algebra.ladder_sq(spec, n + 1)
             rhs = algebra.commutator_poly(spec, algebra.diagonal_eigenvalue(spec, n))
             err = max(err, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    results.append(CheckResult("algebra/commutator-identity", err < 1e-10, err, 1e-10))
+    results.append(_below("algebra/commutator-identity", err, 1e-10))
 
     err = 0.0
     for spec in specs:
@@ -87,7 +92,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
         for n in range(top + 1):
             got = algebra.casimir_from_operators(spec, n)
             err = max(err, abs(got - expected) / max(abs(expected), 1.0))
-    results.append(CheckResult("algebra/casimir-constancy", err < 1e-10, err, 1e-10))
+    results.append(_below("algebra/casimir-constancy", err, 1e-10))
 
     err = 0.0
     for spec in specs:
@@ -96,7 +101,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
             direct = algebra.deformation_factor(spec, float(n))
             fact = algebra.factored_deformation_factor(roots, float(n))
             err = max(err, abs(fact - direct) / max(abs(direct), 1.0))
-    results.append(CheckResult("algebra/root-factorization", err < 1e-10, err, 1e-10))
+    results.append(_below("algebra/root-factorization", err, 1e-10))
 
     err = 0.0
     for spec in specs:
@@ -107,7 +112,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
                 chain *= pochhammer(1.0 - r, n)
             if abs(chain) > 0.0:
                 err = max(err, abs(chain.imag) / abs(chain))
-    results.append(CheckResult("algebra/conjugate-reality", err < 1e-10, err, 1e-10))
+    results.append(_below("algebra/conjugate-reality", err, 1e-10))
 
     err = 0.0
     for spec in specs:
@@ -131,7 +136,7 @@ def suite_algebra(extra_specs: list[DeformationSpec] | None = None) -> list[Chec
             key=lambda w: (w.real, w.imag),
         )
         err = max(err, max(abs(g - w) for g, w in zip(got, want)))
-    results.append(CheckResult("algebra/higgs-closed-roots", err < 1e-12, err, 1e-12))
+    results.append(_below("algebra/higgs-closed-roots", err, 1e-12))
 
     check_specs = specs + list(extra_specs or [])
     failure = ""
@@ -175,12 +180,10 @@ def suite_stats() -> list[CheckResult]:
                 dual_err = max(dual_err, abs(q_c - q_o) / max(abs(q_o), 1.0))
                 ident_err = max(ident_err, abs(q_c - mean_c * (corr_c - 1.0)))
             norm_err = max(norm_err, abs(np.sum(np.abs(vec.coeffs) ** 2) - 1.0))
-    results.append(
-        CheckResult("stats/normalization-duality", norm_dual_err < 1e-9, norm_dual_err, 1e-9)
-    )
-    results.append(CheckResult("stats/closed-vs-oracle", dual_err < 1e-8, dual_err, 1e-8))
-    results.append(CheckResult("stats/mandel-identity", ident_err < 1e-10, ident_err, 1e-10))
-    results.append(CheckResult("stats/distribution-norm", norm_err < 1e-10, norm_err, 1e-10))
+    results.append(_below("stats/normalization-duality", norm_dual_err, 1e-9))
+    results.append(_below("stats/closed-vs-oracle", dual_err, 1e-8))
+    results.append(_below("stats/mandel-identity", ident_err, 1e-10))
+    results.append(_below("stats/distribution-norm", norm_err, 1e-10))
 
     worst = -math.inf  # most positive Q over the sub-Poissonian batch
     xbars = [0.5 * i for i in range(1, 21)]
@@ -193,7 +196,7 @@ def suite_stats() -> list[CheckResult]:
         ):
             for xbar in xbars:
                 worst = max(worst, stats.mandel_q(cs_from_xbar(family, deformation, xbar)))
-    results.append(CheckResult("stats/sub-poissonian-signs", worst < 0.0, worst, 0.0))
+    results.append(_below("stats/sub-poissonian-signs", worst, 0.0))
 
     worst_q = math.inf
     worst_i = math.inf
@@ -223,7 +226,7 @@ def suite_stats() -> list[CheckResult]:
         closed = -xbar / (1.0 + xbar)
         err = max(err, max(abs(v - closed) for v in values))
         err = max(err, max(values) - min(values))
-    results.append(CheckResult("stats/linear-su2-j-independence", err < 1e-10, err, 1e-10))
+    results.append(_below("stats/linear-su2-j-independence", err, 1e-10))
 
     # The linear BGCS metric decays exactly like 1/(2 sqrt(y)): 1.58e-2 at
     # y = 1e3, below 1e-2 only past y = 2.5e3.  Its flatness is taken at
@@ -242,8 +245,8 @@ def suite_stats() -> list[CheckResult]:
         spec = cs_from_xbar(CSFamily.SU11_BGCS, algebra.linear_su11(label), 1e3)
         omega = stats.metric_factor(spec)
         law = max(law, abs(omega - 1.0 / (2.0 * math.sqrt(1e3))) / omega)
-    results.append(CheckResult("stats/metric-flatness", flat < 1e-2, flat, 1e-2))
-    results.append(CheckResult("stats/metric-bgcs-decay-law", law < 0.05, law, 0.05))
+    results.append(_below("stats/metric-flatness", flat, 1e-2))
+    results.append(_below("stats/metric-bgcs-decay-law", law, 0.05))
 
     err = 0.0
     for label in (0.5, 1.0, 3.0):
@@ -253,7 +256,7 @@ def suite_stats() -> list[CheckResult]:
         for z in (0.0, 0.3, 0.8):
             spec = cs_from_xbar(CSFamily.SU11_PCS, algebra.linear_su11(label), z)
             err = max(err, abs(stats.metric_factor(spec) - 2 * label / (1 - z) ** 2))
-    results.append(CheckResult("stats/metric-linear-closed-forms", err < 1e-10, err, 1e-10))
+    results.append(_below("stats/metric-linear-closed-forms", err, 1e-10))
     return results
 
 
@@ -266,7 +269,7 @@ def suite_laplace() -> list[CheckResult]:
             got = geometry.gamma_quadrature_probe(n, k)
             want = math.gamma(n + 2.0 * k)
             err = max(err, abs(got - want) / want)
-    results.append(CheckResult("laplace/gamma-quadrature", err < 1e-10, err, 1e-10))
+    results.append(_below("laplace/gamma-quadrature", err, 1e-10))
 
     err = 0.0
     unit_ok = True
@@ -293,7 +296,7 @@ def suite_laplace() -> list[CheckResult]:
                     )
                     _, _, gap = geometry.laplace_check(probe)
                     err = max(err, gap)
-    results.append(CheckResult("laplace/bridge-identity", err < 1e-8, err, 1e-8))
+    results.append(_below("laplace/bridge-identity", err, 1e-8))
     return results
 
 
@@ -308,7 +311,7 @@ def suite_berry() -> list[CheckResult]:
             gamma = geometry.berry_phase_loop(template, loop)
             closed = -4.0 * math.pi * j * radius**2 / (1.0 + radius**2)
             err = max(err, abs(gamma - closed))
-    results.append(CheckResult("berry/linear-su2-closed-form", err < 1e-8, err, 1e-8))
+    results.append(_below("berry/linear-su2-closed-form", err, 1e-8))
 
     rng = np.random.default_rng(_SEED + 2)
     err = 0.0
@@ -323,7 +326,7 @@ def suite_berry() -> list[CheckResult]:
                 - velocity.conjugate() * spec.amplitude
             )
             err = max(err, abs(oracle - closed))
-    results.append(CheckResult("berry/fd-oracle-agreement", err < 1e-6, err, 1e-6))
+    results.append(_below("berry/fd-oracle-agreement", err, 1e-6))
 
     err = 0.0
     for build in (algebra.linear_su11, algebra.higgs_su11):
@@ -333,7 +336,7 @@ def suite_berry() -> list[CheckResult]:
                     xi = magnitude * complex(math.cos(phase), math.sin(phase))
                     spec = CSSpec(CSFamily.SU11_BGCS, build(k), xi)
                     err = max(err, bg_eigen_residual(spec))
-    results.append(CheckResult("states/bgcs-eigen-residual", err < 1e-9, err, 1e-9))
+    results.append(_below("states/bgcs-eigen-residual", err, 1e-9))
     return results
 
 

@@ -52,10 +52,14 @@ def results():
 
 def test_verify_all_cli(capsys):
     assert main(["verify", "all"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    out = capsys.readouterr().out
+    lines = out.strip().split("\n")
     assert [line.split()[:2] for line in lines] == [
         ["[PASS]", name] for name in CHECK_NAMES
     ]
+    # every reported max_err keeps its bytes; a change that moves one
+    # re-records the file and says which line moved and why
+    assert out == (GOLDEN / "verify_all.txt").read_text()
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

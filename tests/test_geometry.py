@@ -11,6 +11,7 @@ from polycs.errors import (
     DivergentSeries,
     DomainError,
     QuadratureFailure,
+    UnitarityViolation,
 )
 from polycs.geometry import (
     LaplaceProbe,
@@ -23,7 +24,7 @@ from polycs.geometry import (
     overlap_derivative_fd,
     pcs_series_at_inverse,
 )
-from polycs.states import CSFamily, CSSpec
+from polycs.states import CSFamily, CSSpec, coefficients
 
 LABELS = (0.5, 1.0, 3.0, 8.0)
 
@@ -34,17 +35,20 @@ def normalized(values):
 
 
 @pytest.fixture
-def factor_calls(monkeypatch):
-    """Tower indices of every algebra.deformation_factor call."""
-    calls = []
-    original = algebra.deformation_factor
+def ladder_walks(monkeypatch):
+    """[start, stop, elements read] of every algebra.ladder_elements generator."""
+    walks = []
+    original = algebra.ladder_elements
 
-    def counted(spec, n):
-        calls.append(n)
-        return original(spec, n)
+    def counted(spec, start=1, stop=None):
+        walk = [start, stop, 0]
+        walks.append(walk)
+        for value in original(spec, start, stop):
+            walk[2] += 1
+            yield value
 
-    monkeypatch.setattr(algebra, "deformation_factor", counted)
-    return calls
+    monkeypatch.setattr(algebra, "ladder_elements", counted)
+    return walks
 
 
 def random_probe(rng, length, k, z_val, coeffs=(1.0,)):
@@ -320,16 +324,36 @@ class TestLaplaceCheck:
         for nodes in (32, 96):
             assert abs(geometry._laplace_quadrature(probe, nodes) - sized) < 1e-12
 
-    def test_tower_weights_once_per_check(self, factor_calls):
-        """The term ratios need one deformation_factor call per n >= 1,
-        made once per probe, not once per quadrature node or per check."""
+    def test_tower_weights_once_per_check(self, ladder_walks):
+        """The term ratios read phi_1 .. phi_{L-1} from one ladder_elements
+        generator per probe, not one per quadrature node or per check."""
         c = normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4])
         probe = LaplaceProbe(c, 1.0, 2.0, deformation_coeffs=(1.0, 2.0))
         laplace_check(probe)
         laplace_check(probe)
         bg_series(probe, 0.5)
-        assert factor_calls == [float(n) for n in range(1, len(c))]
+        assert ladder_walks == [[1, len(c), len(c) - 1]]
         assert probe.deformation is probe.deformation
+
+    @pytest.mark.parametrize(
+        "coeffs", [(2.0,), (1.0, 2.0), (1.0, 1.0, 2.0)], ids=["p1", "p2", "p3"]
+    )
+    @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 3.0])
+    def test_unit_probe_series_are_the_family_coefficients(self, coeffs, k):
+        """For the unit probe e_n, F(1) and G(1) at Z = 1 are the products of
+        the unit-amplitude BGCS and PCS coefficient ratios of
+        states.coefficients: the probe walks the towers the states walk
+        (leading coefficient 2, so the linear PCS has z = 1/2 < 1)."""
+        deformation = algebra.su11_spec(coeffs, k)
+        bgcs = coefficients(CSSpec(CSFamily.SU11_BGCS, deformation, 1.0)).coeffs
+        pcs = coefficients(CSSpec(CSFamily.SU11_PCS, deformation, 1.0)).coeffs
+        for n in range(1, 6):
+            probe = LaplaceProbe(
+                (0.0,) * n + (1.0,), k, 1.0, deformation_coeffs=coeffs
+            )
+            want_f, want_g = bgcs[n] / bgcs[0], pcs[n] / pcs[0]
+            assert abs(bg_series(probe, 1.0) - want_f) <= 1e-14 * abs(want_f)
+            assert abs(pcs_series_at_inverse(probe) - want_g) <= 1e-14 * abs(want_g)
 
     def test_gauss_laguerre_rule_per_node_count(self):
         """Two checks at one k and rule size build that rule once; lengths
@@ -342,7 +366,7 @@ class TestLaplaceCheck:
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
     def test_gauss_laguerre_rule_read_only(self):
-        u, w = geometry._gauss_laguerre(64, 1.0)
+        u, w = geometry._gauss_laguerre(64, 2.0)
         with pytest.raises(ValueError):
             u[0] = 0.0
         with pytest.raises(ValueError):
@@ -354,7 +378,7 @@ class TestLaplaceCheck:
             normalized([0.3, 0.5j, 0.2, 0.7, -0.1, 0.4]), 3.0, 1.7,
             deformation_coeffs=(1.0, 1.0, 2.0),
         )
-        u, w = geometry._gauss_laguerre(64, 5.0)
+        u, w = geometry._gauss_laguerre(64, 6.0)
         values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
         want = complex(np.dot(w, values))
         assert geometry._laplace_quadrature(probe, 64) == want
@@ -365,7 +389,7 @@ class TestLaplaceCheck:
     def test_traffic_rule_sizes_match_scalar_series(self, length, coeffs):
         rng = np.random.default_rng(length)
         probe = random_probe(rng, length, 0.5 + length / 4, 1.3, coeffs)
-        u, w = geometry._gauss_laguerre((length + 1) // 2, 2.0 * probe.k - 1.0)
+        u, w = geometry._gauss_laguerre((length + 1) // 2, 2.0 * probe.k)
         values = np.array([bg_series(probe, ui / probe.Z) for ui in u])
         assert laplace_check(probe)[1] == complex(np.dot(w, values))
 
@@ -381,12 +405,26 @@ class TestLaplaceCheck:
             lhs, rhs, gap = laplace_check(probe)
             assert gap < 1e-8 * abs(lhs)
 
-    def test_non_positive_rho_is_domain_error(self):
-        # (c_1, c_2) = (-5, 1) at k = 1/2: rho_1 = -5 + (k(k-1) + (k+1)k) = -4.5
+    def test_non_positive_element_is_typed(self):
+        # (c_1, c_2) = (-5, 1) at k = 1/2: phi_1 = 1 * 1 * (-4.5), a negative
+        # element, is the ladder rule's UnitarityViolation at n = 1
         probe = LaplaceProbe(
             normalized([0.6, 0.8]), 0.5, 1.0, deformation_coeffs=(-5.0, 1.0)
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(UnitarityViolation, match="at n=1"):
+            laplace_check(probe)
+        # (-2, 1) at k = 1: rho_1 = 0, so phi_1 = 0 exactly, a pole of G
+        probe = LaplaceProbe(
+            normalized([0.6, 0.8]), 1.0, 1.0, deformation_coeffs=(-2.0, 1.0)
+        )
+        with pytest.raises(DomainError, match="phi_1 = 0"):
+            laplace_check(probe)
+
+    def test_label_below_rounding_is_domain_error(self):
+        # 2k + n - 1 rounds to 0 at n = 1 for k = 1e-300, and phi_1 with it;
+        # the ratio 1/sqrt(phi_1) raised ZeroDivisionError
+        probe = LaplaceProbe((0.6, 0.8), 1e-300, 1.0)
+        with pytest.raises(DomainError, match="phi_1 = 0"):
             laplace_check(probe)
 
     def test_probe_validation(self):
@@ -447,7 +485,7 @@ class TestGaussLaguerreRule:
         """sum w_i u_i^m Gamma(alpha + 1) / Gamma(m + alpha + 1) = 1 for every
         m <= 2n - 1, summed in logs so that u^m cannot overflow."""
         for n in (1, 2, 4, 8, 32, 64, 80, 150):
-            u, w = geometry._gauss_laguerre(n, alpha)
+            u, w = geometry._gauss_laguerre(n, alpha + 1.0)
             log_w, log_u = np.log(w) + math.lgamma(alpha + 1.0), np.log(u)
             for m in range(2 * n):
                 moment = np.exp(log_w + m * log_u - math.lgamma(m + alpha + 1.0)).sum()
@@ -456,7 +494,7 @@ class TestGaussLaguerreRule:
     def test_large_rule_recurrence_stays_in_range(self):
         """Unscaled, L_400 passes float range at the top nodes; the rescaled
         recurrence builds the rule with no warning and finite values."""
-        u, w = geometry._gauss_laguerre(400, 1.0)
+        u, w = geometry._gauss_laguerre(400, 2.0)
         assert np.isfinite(u).all() and np.isfinite(w).all() and (w >= 0.0).all()
         used = w > 0.0  # the top weights are below float range
         for m in range(100):
@@ -477,6 +515,14 @@ class TestGammaQuadrature:
         # Gamma(180) is past float range
         with pytest.raises(DomainError):
             gamma_quadrature_probe(1, 90.0)
+
+    def test_tiny_label_keeps_its_digits(self, recwarn):
+        # the rule takes 2k itself: at k = 1e-8 the alpha = 2k - 1 form lost
+        # 5e-10 relative, and at k = 1e-300 it warned of an invalid divide
+        got = gamma_quadrature_probe(3, 1e-8)
+        assert got == pytest.approx(math.gamma(3.0 + 2e-8), rel=1e-10)
+        assert gamma_quadrature_probe(3, 1e-300) == pytest.approx(2.0, rel=1e-10)
+        assert len(recwarn) == 0
 
     def test_exact_for_the_top_power(self):
         assert gamma_quadrature_probe(127, 0.5) == pytest.approx(math.gamma(128.0), rel=1e-10)

@@ -19,7 +19,7 @@ from polycs.hypergeom import (
     termination_index,
 )
 from polycs.states import CSFamily, cs_from_xbar, series_params
-from polycs import gridseries
+from polycs import gridseries, hypergeom
 from polycs.gridseries import SeriesGrid
 
 
@@ -173,7 +173,7 @@ class TestPfqBitIdentity:
         with pytest.raises(AssertionError, match="complex quotient reached"):
             pfq(SeriesGrid([(0.5,), (-3.0,)], [(1.5 + 1j,), (2.0,)], [0.25]))
 
-    def test_typed_errors(self):
+    def test_typed_errors(self, monkeypatch):
         with pytest.raises(DivergentSeries):
             pfq(SeriesParams((0.5,), (), 1.5))
         with pytest.raises(DivergentSeries):
@@ -187,13 +187,15 @@ class TestPfqBitIdentity:
         with pytest.raises(ZeroDenominator):
             pfq_derivative(SeriesParams((1j, -1j), (-1.0 + 0j,), 0.5), 2)
         for params in (SeriesParams((), (0.5,), 5.0), SeriesParams((), (0.5 + 1j, 0.5 - 1j), 5.0)):
+            monkeypatch.setattr(hypergeom, "MAX_TERMS", 3)
             with pytest.raises(ConvergenceFailure):
-                pfq(params, max_terms=3)
+                pfq(params)
             grid = SeriesGrid([()], [params.denom], [0.0, params.arg])
             # at arg 0 every term is zero, so the series settles when five
             # small terms have run (terms_used 6): past a cap of 3, within 6
-            assert pfq(grid, max_terms=3).cell_terms.tolist() == [[0], [0]]
-            assert pfq(grid, max_terms=6).cell_terms.tolist() == [[6], [0]]
+            assert pfq(grid).cell_terms.tolist() == [[0], [0]]
+            monkeypatch.setattr(hypergeom, "MAX_TERMS", 6)
+            assert pfq(grid).cell_terms.tolist() == [[6], [0]]
 
 
 class TestPochhammer:
@@ -273,12 +275,14 @@ class TestPfq:
         result = pfq(SeriesParams((-1.0,), (-2.0,), 1.0))
         assert result.value.real == pytest.approx(1.5)
 
-    def test_convergence_failure(self):
+    def test_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "MAX_TERMS", 3)
         with pytest.raises(ConvergenceFailure):
-            pfq(SeriesParams((), (0.5,), 5.0), max_terms=3)
+            pfq(SeriesParams((), (0.5,), 5.0))
 
-    def test_est_error_within_eps(self):
-        result = pfq(SeriesParams((), (1.5,), 2.0), eps=1e-12)
+    def test_est_error_within_eps(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "EPS", 1e-12)
+        result = pfq(SeriesParams((), (1.5,), 2.0))
         assert not result.terminated
         assert result.est_error <= 1e-12
 
