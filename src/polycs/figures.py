@@ -17,12 +17,18 @@ state is computed once per process and shared by the four curve figures.
 A table solves the deformation roots and shift prefactors once per label
 and hands every series (grid points x labels x the three shifts) to `pfq`
 as one `SeriesGrid`, which runs them in one numpy loop
-(`polycs.gridseries`) with each state's bits.  Linear tables (p = 1) and
-any other table with real parameters run on real arrays; a Higgs table
-with complex roots runs on real pairs (the bit argument is in the
-`polycs.hypergeom` docstring).  Each table logs one DEBUG
-record on the ``polycs.figures`` logger with its cells, series, recurrence
-steps (its longest series) and terms summed.
+(`polycs.gridseries`) with each state's bits.  The loop takes blocks of
+steps over the cells still active, keeps each step's terms and totals in
+history rows and settles or stops cells once per block; a block is short
+while the table's thousands of cells run and long in the tail, where only
+the slow series near the edge of the unit disc (linear su(1,1) PCS up to
+z = 0.95, 1,309 steps) remain.  Linear tables (p = 1) and any other table
+with real parameters run on real arrays; a Higgs table with complex roots
+runs on real pairs (the bit argument is in the `polycs.hypergeom`
+docstring).  Each table logs one DEBUG record on the ``polycs.figures``
+logger with its cells, series, recurrence steps (its longest series),
+terms summed and cell-steps computed (terms plus the steps that cells
+computed past their finish inside their last block).
 """
 
 from __future__ import annotations
@@ -185,13 +191,15 @@ def _norm_table(
             f"{tuple(norms[point, col].tolist())}"
         )
     _log.debug(
-        "norm table %s %s: %d cells, %d series, %d recurrence steps, %d terms",
+        "norm table %s %s: %d cells, %d series, %d recurrence steps, %d terms, "
+        "%d cell-steps",
         family.value,
         coeffs,
         settled.size,
         result.cell_terms.size,
         result.cell_terms.max(),
         result.terms_used,
+        result.cell_steps,
     )
     return tuple(
         tuple((xbar, *cell) for cell in row)

@@ -25,10 +25,18 @@ zero and in which non-finite value (inf or nan) an overflow leaves.
 Given a `polycs.gridseries.SeriesGrid` (parameter rows x arguments), `pfq`
 runs every cell of the table in one numpy loop, with the complex loop's
 bits, and returns a `GridResult`; the figure catalog's norm tables
-(`polycs.figures`) are evaluated this way.  The same rule picks the
-arithmetic once per grid: a grid whose parameters all have zero imaginary
-parts runs on real arrays, for the reason above, and any other grid on
-real pairs that copy the complex operations.
+(`polycs.figures`) are evaluated this way.  The loop advances all active
+cells in blocks of steps, keeps each step's term and total in history
+rows, and applies the settle test, the termination index and the term cap
+once per block, reading a finished cell's sum from the row of its last
+term; blocks lengthen as cells finish, so the few slow series of a table
+pay numpy's per-call cost once per block rather than once per step.  The
+same rule picks the arithmetic once per grid: a grid whose parameters all
+have zero imaginary parts runs on real arrays, for the reason above, and
+any other grid on real pairs that copy the complex operations.
+
+Non-finite inputs (a nan or infinite parameter part or argument) are
+refused by `validate` with DomainError before any term.
 
 Argument-derivatives are computed by parameter shifting,
 
@@ -39,6 +47,8 @@ never by finite differences.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -109,10 +119,14 @@ def termination_index(params: SeriesParams) -> int | None:
 def validate(params: SeriesParams) -> int | None:
     """Termination index of the series (None if it does not terminate).
 
-    Raises DivergentSeries for a series that cannot converge: too many upper
+    Raises DomainError for a nan or infinite parameter part or argument, and
+    DivergentSeries for a series that cannot converge: too many upper
     parameters, |arg| >= 1 on a balanced series, or a lower-parameter pole
     reached before termination.
     """
+    finite = all(map(cmath.isfinite, params.numer + params.denom))
+    if not (finite and math.isfinite(params.arg)):
+        raise DomainError(f"series input not finite: {params}")
     stop = termination_index(params)
     if stop is None:
         if len(params.numer) > len(params.denom) + 1:

@@ -191,8 +191,21 @@ class TestNormTable:
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == (
             f"norm table su11-pcs (1.0,): 8 cells, 24 series, "
-            f"{result.cell_terms.max()} recurrence steps, {result.terms_used} terms"
+            f"{result.cell_terms.max()} recurrence steps, {result.terms_used} terms, "
+            f"{result.cell_steps} cell-steps"
         )
+
+    def test_cell_steps_cover_every_term(self, caplog, monkeypatch):
+        # the default linear su(1,1) PCS table: blocks compute every step a
+        # cell takes, plus the steps past a cell's finish inside its last block
+        calls = self._capture_grids(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="polycs.figures")
+        figures._norm_table.cache_clear()
+        render_figure(FigureRequest("su11-pcs-mean"))
+        [(_, result)] = calls
+        assert result.cell_steps >= result.terms_used - result.cell_terms.size
+        [record] = caplog.records
+        assert record.getMessage().endswith(f", {result.cell_steps} cell-steps")
 
     def test_debug_record_silent_by_default(self, caplog):
         figures._norm_table.cache_clear()

@@ -197,6 +197,96 @@ class TestPfqBitIdentity:
             monkeypatch.setattr(hypergeom, "MAX_TERMS", 6)
             assert pfq(grid).cell_terms.tolist() == [[6], [0]]
 
+    @pytest.mark.parametrize(
+        "numer, denom, arg",
+        [((18.0,), (), 0.95), ((0.5 + 3j, 0.5 - 3j), (2.5,), 0.9)],
+        ids=["1F0-1309-terms", "conjugate-pair-224-terms"],
+    )
+    def test_long_rows_match_reference(self, numer, denom, arg):
+        # the su(1,1) PCS norm row at k = 8 with both shifts, and a pair row:
+        # many blocks, up to the longest
+        params = SeriesParams(numer, denom, arg)
+        want = reference_pfq(params)
+        assert want.terms_used > 200
+        assert bits(pfq(params).value) == bits(want.value)
+        result = pfq(SeriesGrid([numer], [denom], [arg]))
+        assert bits(complex(result.real[0, 0], result.imag[0, 0])) == bits(want.value)
+        assert result.cell_terms[0, 0] == want.terms_used
+        assert result.cell_steps >= want.terms_used - 1
+
+    @staticmethod
+    def _assert_grid_matches(grid, max_terms=10_000):
+        """Every cell against the reference loop; 0 terms where it does not settle."""
+        result = pfq(grid)
+        for g, arg in enumerate(grid.args):
+            for r, (numer, denom) in enumerate(zip(grid.numer, grid.denom)):
+                try:
+                    want = reference_pfq(SeriesParams(numer, denom, arg), max_terms=max_terms)
+                except ConvergenceFailure:
+                    assert result.cell_terms[g, r] == 0
+                    continue
+                got = complex(result.real[g, r], result.imag[g, r])
+                assert bits(got) == bits(want.value)
+                assert result.cell_terms[g, r] == want.terms_used
+        return result
+
+    def test_complex_divisor_takes_both_smith_branches(self):
+        # b + n with |im| > |re| for the first steps only: Smith's quotient
+        # divides by the imaginary part there and by the real part after
+        grid = SeriesGrid([(1.0,), (2.0 + 1j,)], [(0.5 + 3j,), (0.25 - 4j,)], [0.5, -2.0, 3.0])
+        self._assert_grid_matches(grid)
+
+    @pytest.mark.parametrize(
+        "m", [15, 16, 17], ids=["stop-before-edge", "stop-on-edge", "stop-after-edge"]
+    )
+    def test_block_edges_match_reference(self, monkeypatch, m):
+        # Blocks of 8 steps put the edges at steps 8, 16, ...  1F0(-m; ; -0.9)
+        # runs to its stop m; 1F0(1; ; 0.1) settles at step 18 on the run of
+        # small terms from step 14, which a block edge at 15 or 16 splits.
+        monkeypatch.setattr(gridseries, "MIN_BLOCK_STEPS", 8)
+        monkeypatch.setattr(gridseries, "MAX_BLOCK_STEPS", 8)
+        grid = SeriesGrid([(-float(m),), (1.0,)], [(), ()], [-0.9, 0.1])
+        result = self._assert_grid_matches(grid)
+        assert result.cell_terms[0, 0] == m + 1
+        assert result.cell_terms[1, 1] == 19
+
+    @pytest.mark.parametrize("cap", [11, 12, 13])
+    def test_term_cap_inside_a_block(self, monkeypatch, cap):
+        # With blocks of 8 the cap ends the second block early.  1F0(1; ; 0.015)
+        # settles at step 12, within a cap of 12; the stop 12 of
+        # 1F0(-12; ; -0.9) is reached within a cap of 13 only, as in `pfq`.
+        monkeypatch.setattr(gridseries, "MIN_BLOCK_STEPS", 8)
+        monkeypatch.setattr(gridseries, "MAX_BLOCK_STEPS", 8)
+        monkeypatch.setattr(hypergeom, "MAX_TERMS", cap)
+        grid = SeriesGrid([(-12.0,), (1.0,), (18.0,)], [(), (), ()], [-0.9, 0.015])
+        result = self._assert_grid_matches(grid, max_terms=cap)
+        assert result.cell_terms[1, 1] == (13 if cap >= 12 else 0)
+        assert result.cell_terms[0, 0] == (13 if cap >= 13 else 0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SeriesParams((math.nan,), (), 0.5),
+            SeriesParams((math.inf,), (), 0.5),
+            SeriesParams((0.5,), (-math.inf,), 0.5),
+            SeriesParams((complex(1.0, math.nan),), (2.0,), 0.5),
+            SeriesParams((0.5,), (1.5,), math.nan),
+            SeriesParams((0.5,), (1.5,), -math.inf),
+        ],
+        ids=["nan-upper", "inf-upper", "inf-lower", "nan-imaginary", "nan-arg", "inf-arg"],
+    )
+    def test_non_finite_input_is_domain_error(self, monkeypatch, params):
+        # refused by `validate`, before any term of either loop
+        def refuse(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(gridseries, "_sum_block", refuse)
+        with pytest.raises(DomainError):
+            pfq(params)
+        grid = SeriesGrid([params.numer], [params.denom], [0.2, params.arg, -0.3])
+        with pytest.raises(DomainError):
+            pfq(grid)
+
 
 class TestPochhammer:
     def test_zero_order(self):
