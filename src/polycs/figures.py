@@ -29,6 +29,11 @@ docstring).  Each table logs one DEBUG record on the ``polycs.figures``
 logger with its cells, series, recurrence steps (its longest series),
 terms summed and cell-steps computed (terms plus the steps that cells
 computed past their finish inside their last block).
+
+A curve figure applies its statistic (`stats.*_from_norms`) in one pass over
+the cached table's cells and regroups the values into rows.  Its CSV rows
+come from templates cached per grid, which carry each row's xbar text, so a
+cached figure formats only its statistic values.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, starmap
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +67,8 @@ DEFAULT_DIST_XBAR = 1.0
 DEFAULT_DIST_NMAX_SU11 = 40
 # Norm tables kept per process: every family x linear/Higgs pair at one grid.
 _NORM_TABLE_CACHE = 6
+# CSV row templates kept per process: one per grid of a kept norm table.
+_ROW_TEMPLATE_CACHE = _NORM_TABLE_CACHE
 
 _FAMILY_TOKENS = {
     "su2": CSFamily.SU2_PCS,
@@ -175,7 +183,9 @@ def _norm_table(
     for k, (col, shift, prefactor) in enumerate(rows):
         value = result.real[:, k]
         if shift:
-            value = prefactor.real * value - prefactor.imag * result.imag[:, k]
+            # overflow surfaces as a non-finite value, raised below
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = prefactor.real * value - prefactor.imag * result.imag[:, k]
         norms[:, col, shift] = sign * value if shift == 1 else value
         settled[:, col] &= result.cell_terms[:, k] > 0
 
@@ -211,10 +221,14 @@ def _label_column(label: float) -> str:
     return f"label_{format(label, 'g')}"
 
 
+def _grid(req: FigureRequest) -> GridSpec:
+    return req.grid if req.grid is not None else FIGURE_CATALOG[req.figure_id].default_grid()
+
+
 def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
     """(header, rows) of the requested figure."""
     fig = FIGURE_CATALOG[req.figure_id]
-    grid = req.grid if req.grid is not None else fig.default_grid()
+    grid = _grid(req)
     labels = grid.labels
     header_tail = [_label_column(v) for v in labels]
 
@@ -240,13 +254,19 @@ def figure_rows(req: FigureRequest) -> tuple[list[str], list[list[float]]]:
         rows = [[float(n)] + [col[n] for col in columns] for n in range(n_eff + 1)]
         return ["n"] + header_tail, rows
 
-    stat = _STATISTICS[fig.quantity]
+    # One pass of the statistic over the table's cells, regrouped into rows.
     table = _norm_table(fig.family, fig.coeffs, grid)
-    rows = [
-        [float(xbar)] + [stat(*cell) for cell in cells]
-        for xbar, cells in zip(grid.values(), table, strict=True)
-    ]
+    values = starmap(_STATISTICS[fig.quantity], chain.from_iterable(table))
+    per_row = zip(*[values] * len(labels))
+    rows = [[xbar, *cells] for xbar, cells in zip(grid.values().tolist(), per_row, strict=True)]
     return ["xbar"] + header_tail, rows
+
+
+@functools.lru_cache(maxsize=_ROW_TEMPLATE_CACHE)
+def _row_templates(grid: GridSpec) -> tuple[str, ...]:
+    """Per grid point, the CSV row template of a curve figure, its xbar text filled in."""
+    tail = ",%.17g" * len(grid.labels)
+    return tuple("%.17g" % xbar + tail for xbar in grid.values().tolist())
 
 
 def render_figure(req: FigureRequest) -> str:
@@ -254,9 +274,13 @@ def render_figure(req: FigureRequest) -> str:
     header, rows = figure_rows(req)
     if req.fmt == "csv":
         # "%" and format() share CPython's float formatter: nan prints "nan"
-        template = ",".join(["%.17g"] * len(header))
         lines = [",".join(header)]
-        lines.extend(template % tuple(row) for row in rows)
+        if FIGURE_CATALOG[req.figure_id].is_distribution:
+            template = ",".join(["%.17g"] * len(header))
+            lines.extend(template % tuple(row) for row in rows)
+        else:
+            templates = _row_templates(_grid(req))
+            lines.extend(t % tuple(row[1:]) for t, row in zip(templates, rows, strict=True))
         return "\n".join(lines) + "\n"
     lines = []
     for row in rows:

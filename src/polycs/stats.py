@@ -166,13 +166,16 @@ def metric_factor(spec: CSSpec) -> float:
 
 
 def direct_moments(v: CoefficientVector) -> tuple[float, float, float]:
-    """(mean, <n(n-1)>, variance) by direct summation over |c_n|^2."""
+    """(mean, <n(n-1)>, variance) by direct summation over |c_n|^2.
+
+    The variance is the centred sum of P(n) (n - mean)^2: <n^2> - mean^2
+    cancels where the spread is small against the mean.
+    """
     probs = np.abs(v.coeffs) ** 2
     n = np.arange(probs.size)
     mean = float(np.dot(n, probs))
     fact2 = float(np.dot(n * (n - 1), probs))
-    second = float(np.dot(n * n, probs))
-    return mean, fact2, second - mean**2
+    return mean, fact2, float(np.dot((n - mean) ** 2, probs))
 
 
 def stat_record(

@@ -134,6 +134,21 @@ class TestFigureContent:
         first = json.loads(render_figure(req).strip().split("\n")[0])
         assert first["label_1"] is None
 
+    def test_csv_and_jsonl_agree(self):
+        # a curve figure's CSV rows come from per-grid templates, its JSONL
+        # records from json.dumps: every catalog figure holds the same values
+        for fid in FIGURE_CATALOG:
+            header, *lines = render_figure(FigureRequest(fid)).splitlines()
+            jsonl = render_figure(FigureRequest(fid, fmt="jsonl")).splitlines()
+            assert len(jsonl) == len(lines), fid
+            for line, record in zip(lines, map(json.loads, jsonl)):
+                assert list(record) == header.split(","), fid
+                for cell, value in zip(line.split(","), record.values(), strict=True):
+                    if value is None:
+                        assert cell == "nan", fid
+                    else:
+                        assert value == float(cell), (fid, cell)
+
 
 class TestNormTable:
     """The curve figures of one family and deformation share one norm table."""
@@ -252,6 +267,37 @@ class TestNormTable:
                 assert xbar == spec.xbar
                 want = [v.hex() for v in stats.norm_derivatives(spec)]
                 assert [v.hex() for v in norms] == want
+
+    def test_one_statistic_pass_per_figure(self, monkeypatch):
+        # a curve figure applies its statistic once per cell, and its CSV row
+        # templates are built once per grid: the catalog has two default grids
+        counts = {}
+
+        def counted(quantity, statistic):
+            def wrapper(*cell):
+                counts[quantity] = counts.get(quantity, 0) + 1
+                return statistic(*cell)
+
+            return wrapper
+
+        wrapped = {q: counted(q, f) for q, f in figures._STATISTICS.items()}
+        monkeypatch.setattr(figures, "_STATISTICS", wrapped)
+        figures._row_templates.cache_clear()
+        curves = [(fid, fig) for fid, fig in FIGURE_CATALOG.items() if not fig.is_distribution]
+        assert len(curves) == 24
+        for fid, fig in curves:
+            counts.clear()
+            render_figure(FigureRequest(fid))
+            grid = fig.default_grid()
+            assert counts == {fig.quantity: grid.points * len(grid.labels)}, fid
+        assert figures._row_templates.cache_info().misses == 2
+
+    def test_overflowing_shift_product_is_named(self):
+        # Higgs su(2) at j = 50: a shifted series times its prefactor leaves
+        # float range, which the table reports as a typed error, not a warning
+        grid = GridSpec(0.0, 10.0, 200, (50.0,))
+        with pytest.raises(ConvergenceFailure, match=r"not finite at xbar=0\.351759, label=50"):
+            figures._norm_table.__wrapped__(CSFamily.SU2_PCS, (1.0, 2.0), grid)
 
     def test_unsettled_cell_is_named(self):
         # 1F0(1; ; z) = 1/(1-z) needs ~3e5 terms at z = 0.9999; z = 0.5 settles

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +303,20 @@ class TestDirectMoments:
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert fact2 == pytest.approx(0.5, abs=1e-12)
         assert var == pytest.approx(0.5, abs=1e-12)
+
+    def test_variance_far_from_the_origin(self):
+        # P = (0.2, 0.5, 0.3) at n = 1e5 .. 1e5 + 2: <n^2> - mean^2 loses
+        # seven digits to cancellation; the centred sum keeps them
+        from polycs.states import CoefficientVector
+
+        base = 10**5
+        coeffs = np.zeros(base + 3, dtype=complex)
+        coeffs[base:] = np.sqrt([0.2, 0.5, 0.3])
+        vec = CoefficientVector(coeffs, 0.0)
+        probs = [Fraction(float(p)) for p in np.abs(vec.coeffs[base:]) ** 2]
+        mean = sum(p * (base + i) for i, p in enumerate(probs))
+        exact = sum(p * (base + i - mean) ** 2 for i, p in enumerate(probs))
+        assert direct_moments(vec)[2] == pytest.approx(float(exact), rel=1e-15)
 
 
 class TestClosedVsOracle:
