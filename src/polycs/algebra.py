@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, RootSolveFailure, UnitarityViolation
+from .errors import DomainError, PolycsError, RootSolveFailure, UnitarityViolation
 
 # Squared ladder elements may round to tiny negatives at exact zeros of the
 # tower boundary; anything above this magnitude is a genuine violation.
@@ -163,6 +163,36 @@ def diagonal_eigenvalue(spec: DeformationSpec, n: int) -> float:
     return spec.rep_label + n
 
 
+def _ladder_ends(spec: DeformationSpec) -> tuple[float, float]:
+    """(offset, end) of the ladder rule: m = offset + n - 1 at tower index n,
+    and the constant end g(j) or g(k - 1)."""
+    label = spec.rep_label
+    if spec.is_compact:
+        return -label, structure_function(spec, label)
+    return label, structure_function(spec, label - 1.0)
+
+
+def _ladder_rule(coeffs, compact, offset, end, n):
+    """The squared ladder element at tower index n, a float or a float array
+    of indices: each step is one IEEE operation on either, so an array entry
+    has the bits of the scalar."""
+    m = offset + n - 1.0
+    t = m * (m + 1.0)
+    acc = 0.0
+    power = 1.0
+    for c in coeffs:
+        power *= t
+        acc += c * power
+    return end - acc if compact else acc - end
+
+
+def _element_error(n: int, value: float) -> PolycsError:
+    """The refusal of a squared ladder element beyond the clamp at index n."""
+    if value < 0.0:
+        return UnitarityViolation(n, value)
+    return DomainError(f"squared ladder element at index {n} is {value}")
+
+
 def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = None):
     """psi_n (compact) or phi_n for start <= n < stop, by default to the end of
     the tower (n = 2j + 1, or never): the one home of the ladder rule, reading
@@ -170,28 +200,44 @@ def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = No
     clamped to zero; beyond NEGATIVE_TOL it raises UnitarityViolation, and a
     non-finite value DomainError, at its n.
     """
-    coeffs, label = spec.coeffs, spec.rep_label
-    compact = spec.is_compact
-    offset = -label if compact else label
-    end = structure_function(spec, label if compact else label - 1.0)
+    coeffs, compact = spec.coeffs, spec.is_compact
+    offset, end = _ladder_ends(spec)
     if stop is None and compact:
         stop = spec.two_j + 2
     for n in itertools.count(start) if stop is None else range(start, stop):
-        m = offset + n - 1.0
-        t = m * (m + 1.0)
-        acc = 0.0
-        power = 1.0
-        for c in coeffs:
-            power *= t
-            acc += c * power
-        value = end - acc if compact else acc - end
+        value = _ladder_rule(coeffs, compact, offset, end, n)
         if value < 0.0:
             if value < -NEGATIVE_TOL:
-                raise UnitarityViolation(n, value)
+                raise _element_error(n, value)
             value = 0.0
         elif not value < math.inf:
-            raise DomainError(f"squared ladder element at index {n} is {value}")
+            raise _element_error(n, value)
         yield value
+
+
+def ladder_array(
+    spec: DeformationSpec, start: int, stop: int
+) -> tuple[np.ndarray, PolycsError | None]:
+    """`ladder_elements(spec, start, stop)` as one float64 array, with its bits.
+
+    The array ends before the first index at which the generator raises, and
+    that exception comes with it (else None).  numpy's floating-point
+    warnings (an element past float range) are left to the caller's
+    `np.errstate`.
+    """
+    offset, end = _ladder_ends(spec)
+    n = np.arange(start, stop, dtype=float)
+    values = _ladder_rule(spec.coeffs, spec.is_compact, offset, end, n)
+    error = None
+    if values.size:
+        low = np.minimum.reduce(values)
+        if not (low >= -NEGATIVE_TOL and np.maximum.reduce(values) < math.inf):
+            bad = int(np.argmin((values >= -NEGATIVE_TOL) & (values < math.inf)))
+            error = _element_error(start + bad, float(values[bad]))
+            values = values[:bad]
+        if not low >= 0.0:
+            np.maximum(values, 0.0, out=values)
+    return values, error
 
 
 def ladder_sq(spec: DeformationSpec, n: int) -> float:

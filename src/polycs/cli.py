@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-from . import algebra, figures, stats, verify
+from . import algebra, stats, verify
 from .errors import (
     ConvergenceFailure,
     DivergentSeries,
@@ -108,6 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from . import figures  # the catalog and its grid evaluator load for figures only
+
     if args.list:
         for figure_id in sorted(figures.FIGURE_CATALOG):
             print(figure_id)

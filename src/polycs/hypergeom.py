@@ -20,7 +20,13 @@ imaginary part, and on complex numbers otherwise.  Both give the same bits:
 with zero imaginary parts, CPython's complex product (ac - bd, ad + bc) and
 its Smith quotient reduce to the same IEEE operations on the real parts, the
 extra terms being exact zeros.  The two can differ only in the sign of a
-zero and in which non-finite value (inf or nan) an overflow leaves.
+zero and in which non-finite value (inf or nan) an overflow leaves.  (The
+same argument runs the coefficient tower of a positive real amplitude on
+floats and float64 arrays in `polycs.states`.)  The loop is `for n in
+range(limit)` with limit = min(stop, MAX_TERMS), so a terminating series
+takes no per-term stop test: its sum returns after the loop, while a stop
+at or past the cap raises ConvergenceFailure, as a series that does not
+settle within the cap does.
 
 Given a `polycs.gridseries.SeriesGrid` (parameter rows x arguments), `pfq`
 runs every cell of the table in one numpy loop, with the complex loop's
@@ -176,34 +182,38 @@ def pfq(params: SeriesParams | SeriesGrid) -> SeriesResult | GridResult:
         numer = tuple(a.real for a in numer)
         denom = tuple(b.real for b in denom)
         kind = float
-    term = kind(1.0)
-    total = kind(1.0)
+    one = kind(1.0)
+    term = total = one
     comp = kind(0.0)  # Kahan compensation
     small_run = 0
-    n = 0
-    while n < max_terms:
-        if stop is not None and n >= stop:
-            return SeriesResult(complex(total), n + 1, True, 0.0)
-        num = kind(1.0)
+    limit = max_terms if stop is None else min(stop, max_terms)
+    arg = params.arg
+    # Each product starts from its first factor: 1 * (a + n) is exactly
+    # a + n, as `gridseries._shifted_product` argues.
+    a0, numer = (numer[0], numer[1:]) if numer else (None, numer)
+    b0, denom = (denom[0], denom[1:]) if denom else (None, denom)
+    for n in range(limit):
+        num = one if a0 is None else a0 + n
         for a in numer:
             num *= a + n
-        den = kind(1.0)
+        den = one if b0 is None else b0 + n
         for b in denom:
             den *= b + n
-        term = term * num * (params.arg / (n + 1)) / den
+        term = term * num * (arg / (n + 1)) / den
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        n += 1
         if abs(term) <= eps * abs(total):
             small_run += 1
             if small_run >= SMALL_RUN:
                 return SeriesResult(
-                    complex(total), n + 1, False, abs(term) / abs(total)
+                    complex(total), n + 2, False, abs(term) / abs(total)
                 )
         else:
             small_run = 0
+    if stop is not None and stop < max_terms:
+        return SeriesResult(complex(total), stop + 1, True, 0.0)
     raise ConvergenceFailure(
         f"series did not settle within {max_terms} terms (arg={params.arg})"
     )

@@ -20,7 +20,15 @@ non-negative variable
 
 Coefficient vectors are built by a stable ratio recurrence (never by raw
 factorials, which overflow near n = 170), normalized, and truncated so that
-the trailing coefficient amplitude falls below eps of the running norm.
+the trailing coefficient amplitude falls below eps of the running norm.  A
+scalar step loop runs the first _HEAD steps of every tower.  The tower of a
+positive real amplitude runs that loop on floats, and if it is still going
+after the head it continues on float64 arrays, in blocks that double from
+_HEAD steps up to _MAX_BLOCK: ratios from `algebra.ladder_array`,
+coefficients and running norm as sequential accumulates, and squares from
+libm `pow` (`np.float_power`), which rounds as the loop's `**` does where
+x * x does not.  Each step keeps the bits of the complex loop, which alone
+runs every other amplitude.
 """
 
 from __future__ import annotations
@@ -41,6 +49,12 @@ _RESCALE_AT = 1e150
 # Recurrence steps before the noncompact tower gives up, and the largest su(2)
 # tower dimension accepted: a larger one's norm series outruns `pfq`'s term cap.
 _MAX_COEFFS = MAX_TERMS
+# Loop steps before a tower of a positive real amplitude continues on arrays,
+# and the longest array block; blocks double from _HEAD.  An array block has
+# a fixed cost of some 50 loop steps, which a head of 32 pays on towers of 33
+# to 100 elements.
+_HEAD = 64
+_MAX_BLOCK = 4096
 
 
 class CSFamily(enum.Enum):
@@ -208,24 +222,55 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     (2j + 1 coefficients exactly); noncompact states grow until the last
     coefficient drops below eps (finite, >= 0) of the running norm while the
     local ratio signals decay; a running norm past float range is
-    ConvergenceFailure.  The step loop reads its squared ladder elements from
-    `algebra.ladder_elements`.
+    ConvergenceFailure.  The scalar step loop (`_tower`) runs every tower of
+    a complex amplitude, and the first _HEAD steps of a positive real one,
+    on floats; such a tower still running then continues on float64 arrays
+    (`_array_blocks`).  Both give the complex loop's bits.
     """
     check_eps(eps)
     validate(series_params(spec))
     compact = spec.family is CSFamily.SU2_PCS
     if spec.amplitude == 0.0 and not compact:
         return CoefficientVector(np.ones(1, dtype=complex), 0.0)
+    amp = spec.amplitude
+    tower = None
+    # Such an amplitude keeps every coefficient's imaginary part +0.
+    if amp.real > 0.0 and amp.imag == 0.0 and math.copysign(1.0, amp.imag) > 0.0:
+        try:
+            tower = _tower(spec, eps, True)
+        except ZeroDivisionError:  # an element of 0, which floats word differently
+            pass
+    if tower is None:  # the complex loop, which keeps every non-finite bit
+        tower = _tower(spec, eps, False)
+    coeffs, recent = tower
+    arr = np.array(coeffs, dtype=complex)
+    arr /= np.linalg.norm(arr)
+    tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), _RATIO_CAP))
+    return CoefficientVector(arr, tail)
 
-    d, amp = spec.deformation, spec.amplitude
+
+def _tower(spec: CSSpec, eps: float, arrays: bool):
+    """(unnormalized coefficients, |ratio| of the last five steps) of the
+    truncated tower.
+
+    The step loop reads its squared ladder elements from
+    `algebra.ladder_elements`.  With `arrays` (a positive real amplitude) it
+    runs on floats and hands the tower to `_array_blocks` after _HEAD steps,
+    and returns None where a coefficient leaves float range.
+    """
+    d = spec.deformation
+    compact = spec.family is CSFamily.SU2_PCS
     bgcs = spec.family is CSFamily.SU11_BGCS
     two_k = 2.0 * d.rep_label
-    last = complex(1.0)
+    # on floats, the complex loop's bits (the `polycs.hypergeom` argument)
+    amp = spec.amplitude.real if arrays else spec.amplitude
+    last = 1.0 if arrays else complex(1.0)
     coeffs = [last]
     sumsq = 1.0  # running squared norm, for the noncompact truncation test
     recent = [0.0] * 5  # |ratio| of the last five steps, as a ring
     top = d.two_j if compact else _MAX_COEFFS
-    for n, value in zip(range(1, top + 1), algebra.ladder_elements(d)):
+    head = min(top, _HEAD) if arrays else top
+    for n, value in zip(range(1, head + 1), algebra.ladder_elements(d)):
         if compact:
             ratio = amp * math.sqrt(value) / n
         elif bgcs:
@@ -236,6 +281,8 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
         coeffs.append(last)
         size = abs(last)
         if size > _RESCALE_AT:
+            if arrays and not size < math.inf:
+                return None
             coeffs = [c / size for c in coeffs]
             last = coeffs[-1]
         if compact:  # no truncation test; |c_n|**2 overflows past 1e154
@@ -249,16 +296,135 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
             size = abs(last)  # the rescaled last coefficient, for the truncation test
         recent[n % 5] = abs(ratio)
         if n >= 5 and size <= eps * math.sqrt(sumsq) and max(recent) < _RATIO_CAP:
-            break
-    else:
-        if not compact:
-            raise ConvergenceFailure(
-                f"coefficient recurrence did not truncate within {top} terms"
-            )
-    arr = np.array(coeffs, dtype=complex)
-    arr /= np.linalg.norm(arr)
-    tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), _RATIO_CAP))
-    return CoefficientVector(arr, tail)
+            return coeffs, recent
+    if head < top:
+        window = [recent[(head - i) % 5] for i in (3, 2, 1, 0)]
+        return _array_blocks(spec, eps, coeffs, sumsq, window)
+    if not compact:
+        raise ConvergenceFailure(f"coefficient recurrence did not truncate within {top} terms")
+    return coeffs, recent
+
+
+def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: list):
+    """`_tower`'s step loop from step len(head) on, on float64 arrays.
+
+    head holds the loop's coefficients, sumsq its running norm and window its
+    last four |ratio|, oldest first.  The arrays repeat the loop's real IEEE
+    operations in its order: the ratios from `algebra.ladder_array`, the
+    coefficients by `np.multiply.accumulate` from the last one and the
+    running norm by `np.add.accumulate`, both sequential left folds, of
+    squares by `np.float_power`, libm `pow` per element as the loop's `**`.
+    A coefficient past _RESCALE_AT divides every coefficient before it and
+    restarts the fold from 1, as the loop does.  An element's error is
+    raised only where the loop would have read it, and the truncation test
+    reads the five ratios across block edges.  The blocks take _HEAD steps,
+    then double up to _MAX_BLOCK.  Returns None at a coefficient past float
+    range (a huge ratio, or an element of 0).
+    """
+    d, amp = spec.deformation, spec.amplitude.real
+    compact = d.is_compact
+    bgcs = spec.family is CSFamily.SU11_BGCS
+    top = d.two_j if compact else _MAX_COEFFS
+    n = len(head) - 1  # steps taken
+    chunks = [np.array(head)]
+    last = head[-1]
+    carried = window  # |ratio| of the steps so far, the newest last
+    length, blocks, rescales = _HEAD, 0, 0
+    with np.errstate(all="ignore"):
+        while True:
+            values, error = algebra.ladder_array(d, n + 1, min(n + length, top) + 1)
+            index = np.arange(n + 1, n + 1 + values.size, dtype=float)
+            ratios = np.sqrt(values)
+            if compact:
+                ratios = amp * ratios / index
+            elif bgcs:
+                ratios = amp / ratios
+            else:
+                ratios = amp * (2.0 * d.rep_label + (index - 1.0)) / ratios
+            carried = np.concatenate((carried[-4:], ratios))  # block ratio k at k + 4
+            if ratios.size:
+                ratios[0] *= last
+            pos = 0
+            while pos < ratios.size:
+                # after a rescale the fold restarts from 1.0, and 1.0 * ratio is exact
+                prods = np.multiply.accumulate(ratios[pos:])
+                cut = prods.size
+                if not np.maximum.reduce(prods) <= _RESCALE_AT:  # a rescale, or nan
+                    cut = int(np.argmin(prods <= _RESCALE_AT))
+                kept = prods[:cut]
+                if cut and not compact:
+                    sums = np.float_power(kept, 2.0)
+                    sums[0] += sumsq
+                    np.add.accumulate(sums, out=sums)
+                    sumsq = float(sums[-1])
+                    stop = _truncation(kept, sums, carried[pos : pos + cut + 4], eps)
+                    if stop is not None:
+                        chunks.append(kept[: stop + 1])
+                        recent = carried[pos + stop : pos + stop + 5]
+                        return _finish(spec, chunks, blocks + 1, rescales, recent)
+                if cut:
+                    chunks.append(kept)
+                if cut == prods.size:
+                    last = float(kept[-1])
+                    break
+                size = float(prods[cut])
+                if not size < math.inf:
+                    return None
+                for chunk in chunks:
+                    chunk /= size
+                chunks.append(np.ones(1))
+                last = 1.0
+                rescales += 1
+                pos += cut + 1
+                if compact:
+                    continue
+                try:
+                    square = size**2
+                except OverflowError:
+                    raise ConvergenceFailure(
+                        f"running norm of the tower overflows at n = {n + pos}"
+                    ) from None
+                # no truncation here: this step's ratio exceeds 1
+                sumsq = (sumsq + square) / square
+            blocks += 1
+            n += values.size
+            if error is not None:
+                raise error
+            if n == top:
+                if compact:
+                    return _finish(spec, chunks, blocks, rescales, carried[-5:])
+                raise ConvergenceFailure(
+                    f"coefficient recurrence did not truncate within {top} terms"
+                )
+            length = min(2 * length, _MAX_BLOCK)
+
+
+def _truncation(sizes: np.ndarray, sums: np.ndarray, ratios: np.ndarray, eps: float):
+    """The first k with sizes[k] <= eps * sqrt(sums[k]) and all of
+    ratios[k : k + 5] below _RATIO_CAP (the loop's truncation test), or None."""
+    # eps * sqrt(sums) rounds monotonically: past the last sum's bound no size passes
+    if np.minimum.reduce(sizes) > eps * math.sqrt(sums[-1]):
+        return None
+    done = sizes <= eps * np.sqrt(sums)
+    peak = ratios[: sizes.size]
+    for k in range(1, 5):
+        peak = np.maximum(peak, ratios[k : k + sizes.size])
+    done &= peak < _RATIO_CAP
+    k = int(done.argmax())
+    return k if done[k] else None
+
+
+def _finish(spec: CSSpec, chunks: list, blocks: int, rescales: int, recent: np.ndarray):
+    """`_array_blocks`' result, with its DEBUG record."""
+    import logging  # loaded by the first array tower, not with the package
+
+    coeffs = np.concatenate(chunks)
+    logging.getLogger(__name__).debug(
+        "tower %s %s label %g: %d coefficients, %d array blocks, %d rescales",
+        spec.family.value, spec.deformation.coeffs, spec.deformation.rep_label,
+        coeffs.size, blocks, rescales,
+    )
+    return coeffs, recent.tolist()
 
 
 def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVector:

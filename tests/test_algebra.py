@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycs import algebra
@@ -148,6 +148,57 @@ class TestLadderSq:
         top = spec.two_j + 1 if spec.is_compact else 30
         elements = list(itertools.islice(algebra.ladder_elements(spec, 2), top - 1))
         assert elements == [ladder_sq(spec, n) for n in range(2, top + 1)]
+
+
+def generator_outcome(spec, start, stop):
+    """`ladder_elements`' values up to its first error, with that error's type
+    and text (or None)."""
+    values = []
+    try:
+        for value in algebra.ladder_elements(spec, start, stop):
+            values.append(value)
+    except (UnitarityViolation, DomainError) as exc:
+        return values, (type(exc), str(exc))
+    return values, None
+
+
+@st.composite
+def ladder_specs(draw):
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    coeffs = draw(
+        st.lists(
+            st.sampled_from((-3.0, -1.0, -1e-3, 0.5, 1.0, 2.0, 35.21875, 1e300)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if kind is AlgebraKind.SU2_LIKE:
+        label = draw(st.integers(1, 400)) / 2
+    else:
+        label = draw(st.one_of(st.floats(1e-3, 400.0), st.sampled_from((1e100,))))
+    return DeformationSpec(kind, coeffs, label)
+
+
+class TestLadderArray:
+    """`ladder_array` against the `ladder_elements` generator, bit for bit,
+    with the generator's first error (type and text)."""
+
+    @given(spec=ladder_specs(), start=st.integers(1, 120), count=st.integers(0, 200))
+    # psi_1 and psi_7 both round to -5.7e-14, which the clamp makes 0
+    @example(spec=su2_spec((35.21875, -3.325, 0.1), 3.5), start=1, count=8)
+    # at k = 1e100, phi_1 is inf - inf
+    @example(spec=su11_spec((-1.0, 1.0), 1e100), start=1, count=4)
+    # phi_116 overflows; phi_32 is the first negative element
+    @example(spec=su11_spec((1.0, 1e300), 1.0), start=60, count=100)
+    @example(spec=su11_spec((1.0, -1e-3), 1.0), start=2, count=64)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_generator(self, spec, start, count):
+        values, error = generator_outcome(spec, start, start + count)
+        with np.errstate(all="ignore"):  # an element past float range
+            array, array_error = algebra.ladder_array(spec, start, start + count)
+        assert array.tobytes() == np.array(values, dtype=float).tobytes()
+        got = None if array_error is None else (type(array_error), str(array_error))
+        assert got == error
 
 
 class TestDeformationFactor:

@@ -370,6 +370,27 @@ class TestPfq:
         with pytest.raises(ConvergenceFailure):
             pfq(SeriesParams((), (0.5,), 5.0))
 
+    @pytest.mark.parametrize("cap", [11, 12, 13])
+    def test_term_cap(self, monkeypatch, cap):
+        # The scalar twin of test_term_cap_inside_a_block: the stop
+        # 12 of 1F0(-12; ; -0.9) is reached within a cap of 13 only, and
+        # 1F0(1; ; 0.015), which settles at step 12, within a cap of 12.
+        monkeypatch.setattr(hypergeom, "MAX_TERMS", cap)
+        stopping = SeriesParams((-12.0,), (), -0.9)
+        settling = SeriesParams((1.0,), (), 0.015)
+        if cap >= 13:
+            result = pfq(stopping)
+            assert (result.terms_used, result.terminated) == (13, True)
+        else:
+            with pytest.raises(ConvergenceFailure):
+                pfq(stopping)
+        if cap >= 12:
+            result = pfq(settling)
+            assert (result.terms_used, result.terminated) == (13, False)
+        else:
+            with pytest.raises(ConvergenceFailure):
+                pfq(settling)
+
     def test_est_error_within_eps(self, monkeypatch):
         monkeypatch.setattr(hypergeom, "EPS", 1e-12)
         result = pfq(SeriesParams((), (1.5,), 2.0))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polycs import stats
+from polycs import states, stats
 from polycs.algebra import (
     NEGATIVE_TOL,
     higgs_su2,
@@ -225,6 +226,8 @@ def reference_ladder_sq(d, n):
         if value >= -NEGATIVE_TOL:
             return 0.0
         raise UnitarityViolation(n, value)
+    if not value < math.inf:
+        raise DomainError(f"squared ladder element at index {n} is {value}")
     return value
 
 
@@ -260,7 +263,10 @@ def reference_coefficients(spec, eps):
             coeffs = [c / size for c in coeffs]
         if compact:
             continue
-        sumsq += size**2
+        try:
+            sumsq += size**2
+        except OverflowError:
+            raise ConvergenceFailure(f"running norm of the tower overflows at n = {n}") from None
         if size > 1e150:
             sumsq /= size**2
         recent.append(abs(ratio))
@@ -324,11 +330,100 @@ class TestTowerBitIdentity:
         spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(3.0), 36.35434007804995),
         eps=0.002367876543678032,
     )
+    # in the first array block the running norm truncates the tower at
+    # n = 86 with size**2, and at n = 85 with size * size
+    @example(
+        spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(8.0), 7322.226182308802),
+        eps=0.1988105065461168,
+    )
+    # 5,445 coefficients: the head, then array blocks up to the longest
+    @example(
+        spec=cs_from_xbar(CSFamily.SU11_PCS, su11_spec((0.5,), 50.0), 0.9585872037202317),
+        eps=1e-12,
+    )
+    # the real twin of the rescaling example above rescales in the head, at
+    # n = 60; at amplitude 30 it rescales in the head (n = 40) and in the
+    # arrays (n = 87)
+    @example(spec=CSSpec(CSFamily.SU2_PCS, higgs_su2(50.0), 2.5), eps=1e-12)
+    @example(spec=CSSpec(CSFamily.SU2_PCS, higgs_su2(50.0), 30.0), eps=1e-12)
+    # rescales at n = 110 and 334 in the arrays rescale the running norm too
+    @example(spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 1e6), eps=1e-12)
+    # phi_116 is inf: read at xbar = 3e7, while at 1e7 the tower truncates at
+    # n = 99, in the same array block, before reading it
+    @example(spec=cs_from_xbar(CSFamily.SU11_BGCS, su11_spec((1.0, 1e300), 1.0), 3e7), eps=1e-12)
+    @example(spec=cs_from_xbar(CSFamily.SU11_BGCS, su11_spec((1.0, 1e300), 1.0), 1e7), eps=1e-12)
+    # the running norm overflows at n = 97, in the first array block
+    @example(
+        spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 4183635935320.0234),
+        eps=1e-12,
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, spec, eps):
         assert tower_outcome(coefficients, spec, eps) == tower_outcome(
             reference_coefficients, spec, eps
         )
+
+    @pytest.mark.parametrize(
+        "xbar, steps",
+        [
+            (0.005998749687421856, 8),
+            (0.018995498874718682, 9),
+            (1.2971757939484871, 16),
+            (1.8365408852213054, 17),
+        ],
+        ids=["last-head-step", "first-array-step", "block-end", "block-start"],
+    )
+    def test_seams_match_reference(self, monkeypatch, xbar, steps):
+        # A head of 8 steps and blocks of 8 put the seam after step 8 and a
+        # block edge after step 16; these towers truncate on either side of
+        # each, with a window of five ratios that spans it.
+        monkeypatch.setattr(states, "_HEAD", 8)
+        monkeypatch.setattr(states, "_MAX_BLOCK", 8)
+        spec = cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), xbar)
+        outcome = tower_outcome(coefficients, spec, 1e-12)
+        assert outcome == tower_outcome(reference_coefficients, spec, 1e-12)
+        assert len(outcome[0]) == 16 * (steps + 1)
+
+
+def test_array_squares_round_as_the_loop():
+    # The array blocks square by np.float_power, which calls libm pow per
+    # element as the loop's ** does; x * x and np.power differ on a few
+    # hundred of these doubles.
+    rng = np.random.default_rng(7)
+    x = rng.random(200_000) * 10.0 ** rng.uniform(-160.0, 150.0, 200_000)
+    loop = np.array([v**2 for v in x.tolist()])
+    assert np.float_power(x, 2.0).tobytes() == loop.tobytes()
+
+
+class TestTowerLog:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                cs_from_xbar(CSFamily.SU11_PCS, su11_spec((0.5,), 50.0), 0.9585872037202317),
+                "tower su11-pcs (0.5,) label 50: 5445 coefficients, 7 array blocks, 0 rescales",
+            ),
+            (
+                cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 1e6),
+                "tower su11-bgcs (1.0,) label 1: 1235 coefficients, 5 array blocks, 2 rescales",
+            ),
+        ],
+        ids=["long", "rescaling"],
+    )
+    def test_one_debug_record_per_array_tower(self, caplog, spec, message):
+        caplog.set_level(logging.DEBUG, logger="polycs.states")
+        coefficients(spec)
+        [record] = caplog.records
+        assert record.name == "polycs.states"
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == message
+
+    def test_silent_by_default_and_in_the_loop(self, caplog):
+        coefficients(cs_from_xbar(CSFamily.SU11_PCS, su11_spec((0.5,), 50.0), 0.95))
+        caplog.set_level(logging.DEBUG, logger="polycs.states")
+        coefficients(cs_from_xbar(CSFamily.SU11_PCS, su11_spec((0.5,), 0.5), 0.1))
+        coefficients(CSSpec(CSFamily.SU11_PCS, su11_spec((0.5,), 50.0), 0.6j))
+        assert caplog.records == []
 
 
 class TestLadderMaps:
