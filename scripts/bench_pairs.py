@@ -9,10 +9,13 @@ Each pair runs every workload once on each checkout, one process at a time,
 for the run_seconds of the parent's BENCHMARK.json.
 Even pairs run the parent first and odd pairs the change first, so drift in
 the machine's speed does not favour one side.  Every run prints one
-``run {...}`` JSON line as it ends; the summary that follows gives, for each
-workload and end-to-end metric of the parent's BENCHMARK.json, the median and
-quartiles of each side, the ratio of the medians with its base, and the pairs
-the change won (ties count for neither side).  ``gain`` marks a metric
+``run {...}`` JSON line as it ends, or a ``failed {...}`` line with the exit
+code and last stderr line of a process that exits nonzero, and the session
+carries on.  The summary that follows counts such runs per side and gives,
+over the pairs whose two runs both completed, for each workload and
+end-to-end metric of the parent's BENCHMARK.json, the median and quartiles
+of each side, the ratio of the medians with its base, and the pairs the
+change won (ties count for neither side).  ``gain`` marks a metric
 whose change won at least nine tenths of the pairs and whose medians differ
 by more than the parent's interquartile range; ``worse`` marks one whose
 change lost that many pairs, with the same gap between the medians.
@@ -31,12 +34,17 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The result object that perfbench/run.py prints as its last line."""
+    """The result object that perfbench/run.py prints as its last line, or,
+    where the process exits nonzero, {"exit": its code, "stderr": its last
+    stderr line}."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if proc.returncode:
+        tail = proc.stderr.strip().splitlines() or [""]
+        return {"exit": proc.returncode, "stderr": tail[-1]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -54,15 +62,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         pairs = sorted({r["pair"] for r in mine})
-        by = {(r["pair"], r["side"]): r["result"] for r in mine}
+        by = {(r["pair"], r["side"]): r["result"] for r in mine if "exit" not in r["result"]}
         complete = [p for p in pairs if all((p, s) in by for s in SIDES)]
         lines.append(f"{workload}: {len(complete)} pairs")
         for side in SIDES:
             results = [by[p, side] for p in complete]
             failed = sorted({(r["failed"], r["attempted"]) for r in results})
             correct = all(r["correct"] for r in results)
-            lines.append(f"  {side}: failed {failed}, correct {correct}")
-        for metric in metrics:
+            line = f"  {side}: failed {failed}, correct {correct}"
+            crashed = sum(r["side"] == side and "exit" in r["result"] for r in mine)
+            if crashed:
+                line += f", {crashed} runs exited nonzero"
+            lines.append(line)
+        for metric in metrics if complete else ():
             name, lower = metric["name"], metric["better"] == "lower"
             value = {s: [by[p, s]["metrics"][name]["value"] for p in complete] for s in SIDES}
             p1, pm, p3 = quartiles(value["parent"])
@@ -107,7 +119,7 @@ def main() -> int:
             for side in order:
                 result = run_once(checkout[side], workload, args.seed, seconds)
                 run = {"workload": workload, "pair": pair, "side": side, "result": result}
-                print("run " + json.dumps(run), flush=True)
+                print(("failed " if "exit" in result else "run ") + json.dumps(run), flush=True)
                 runs.append(run)
     print(f"seed {args.seed}, {seconds} s per run")
     print("\n".join(summarize(runs, spec["end_to_end"])))

@@ -216,9 +216,9 @@ def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = No
 
 
 def ladder_array(
-    spec: DeformationSpec, start: int, stop: int
+    spec: DeformationSpec, index: np.ndarray
 ) -> tuple[np.ndarray, PolycsError | None]:
-    """`ladder_elements(spec, start, stop)` as one float64 array, with its bits.
+    """`ladder_elements` at the consecutive float64 indices `index`, with its bits.
 
     The array ends before the first index at which the generator raises, and
     that exception comes with it (else None).  numpy's floating-point
@@ -226,14 +226,13 @@ def ladder_array(
     `np.errstate`.
     """
     offset, end = _ladder_ends(spec)
-    n = np.arange(start, stop, dtype=float)
-    values = _ladder_rule(spec.coeffs, spec.is_compact, offset, end, n)
+    values = _ladder_rule(spec.coeffs, spec.is_compact, offset, end, index)
     error = None
     if values.size:
         low = np.minimum.reduce(values)
         if not (low >= -NEGATIVE_TOL and np.maximum.reduce(values) < math.inf):
             bad = int(np.argmin((values >= -NEGATIVE_TOL) & (values < math.inf)))
-            error = _element_error(start + bad, float(values[bad]))
+            error = _element_error(int(index[bad]), float(values[bad]))
             values = values[:bad]
         if not low >= 0.0:
             np.maximum(values, 0.0, out=values)

@@ -158,7 +158,7 @@ def _norm_table(
     The checks are those of the scalar path, raised in this order:
     DomainError for a bad xbar, per label the gate of `norm_series`,
     ZeroDenominator and DivergentSeries, then ConvergenceFailure naming the
-    xbar and label of the first cell that did not settle or is not finite.
+    xbar and label of the first cell unsettled, not finite or with N'**2 underflowed.
     """
     deformations = [family_deformation(family, coeffs, v) for v in grid.labels]
     # A state's xbar depends on its deformation only through the shared
@@ -189,12 +189,13 @@ def _norm_table(
         norms[:, col, shift] = sign * value if shift == 1 else value
         settled[:, col] &= result.cell_terms[:, k] > 0
 
-    bad = ~settled | ~np.isfinite(norms).all(axis=2)
+    bad = ~settled | ~np.isfinite(norms).all(axis=2) | stats.slope_underflows(norms[:, :, 1])
     if bad.any():
         point, col = np.unravel_index(np.argmax(bad), bad.shape)
         reason = (
-            "norm derivatives not finite" if settled[point, col]
-            else "a norm series did not settle within its term cap"
+            "a norm series did not settle within its term cap" if not settled[point, col]
+            else "norm derivatives not finite" if not np.isfinite(norms[point, col]).all()
+            else "N'**2 underflows"
         )
         raise ConvergenceFailure(
             f"{reason} at xbar={xbars[point]:g}, label={grid.labels[col]:g}: "

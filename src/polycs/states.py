@@ -27,8 +27,8 @@ after the head it continues on float64 arrays, in blocks that double from
 _HEAD steps up to _MAX_BLOCK: ratios from `algebra.ladder_array`,
 coefficients and running norm as sequential accumulates, and squares from
 libm `pow` (`np.float_power`), which rounds as the loop's `**` does where
-x * x does not.  Each step keeps the bits of the complex loop, which alone
-runs every other amplitude.
+x * x does not; a rescale ends its block.  Each step keeps the bits of the
+complex loop, which alone runs every other amplitude.  No tower is rerun.
 """
 
 from __future__ import annotations
@@ -85,11 +85,7 @@ class CSSpec:
                 f"{self.family.value} requires a "
                 f"{_FAMILY_KIND[self.family].value} deformation"
             )
-        if self.deformation.coeffs[-1] <= 0.0:
-            raise DomainError(
-                "coherent states need a positive leading deformation "
-                "coefficient (non-negative series variable)"
-            )
+        _positive_leading(self.deformation)
         if not math.isfinite(self.xbar):
             raise DomainError(f"xbar must be finite, got {self.xbar}")
         if (
@@ -128,6 +124,17 @@ class CoefficientVector:
         object.__setattr__(self, "coeffs", arr)
 
 
+def _positive_leading(deformation: DeformationSpec) -> float:
+    """The leading coefficient, which a coherent state needs positive."""
+    leading = deformation.coeffs[-1]
+    if leading <= 0.0:
+        raise DomainError(
+            "coherent states need a positive leading deformation "
+            "coefficient (non-negative series variable)"
+        )
+    return leading
+
+
 def series_variable(family: CSFamily, deformation: DeformationSpec, mag2: float) -> float:
     """xbar at |alpha|^2 = mag2; linear, so its value at mag2 = 1 is dxbar/d|alpha|^2."""
     leading = deformation.coeffs[-1]
@@ -140,9 +147,7 @@ def cs_from_xbar(
     """Build a state with real positive amplitude from the series variable."""
     if xbar < 0.0:
         raise DomainError(f"xbar must be non-negative, got {xbar}")
-    leading = deformation.coeffs[-1]
-    if leading <= 0.0:
-        raise DomainError("coherent states need a positive leading coefficient")
+    leading = _positive_leading(deformation)
     if family is CSFamily.SU2_PCS:
         amp = math.sqrt(xbar / leading)
     else:
@@ -221,50 +226,38 @@ def coefficients(spec: CSSpec, eps: float = 1e-12) -> CoefficientVector:
     ratio recurrence builds the tower: compact states keep all of it
     (2j + 1 coefficients exactly); noncompact states grow until the last
     coefficient drops below eps (finite, >= 0) of the running norm while the
-    local ratio signals decay; a running norm past float range is
-    ConvergenceFailure.  The scalar step loop (`_tower`) runs every tower of
-    a complex amplitude, and the first _HEAD steps of a positive real one,
-    on floats; such a tower still running then continues on float64 arrays
-    (`_array_blocks`).  Both give the complex loop's bits.
+    local ratio signals decay.  A coefficient or a running norm past float
+    range is ConvergenceFailure at its index.  The amplitude picks the path
+    once (`_tower`), and no tower is run twice.
     """
     check_eps(eps)
     validate(series_params(spec))
     compact = spec.family is CSFamily.SU2_PCS
     if spec.amplitude == 0.0 and not compact:
         return CoefficientVector(np.ones(1, dtype=complex), 0.0)
-    amp = spec.amplitude
-    tower = None
-    # Such an amplitude keeps every coefficient's imaginary part +0.
-    if amp.real > 0.0 and amp.imag == 0.0 and math.copysign(1.0, amp.imag) > 0.0:
-        try:
-            tower = _tower(spec, eps, True)
-        except ZeroDivisionError:  # an element of 0, which floats word differently
-            pass
-    if tower is None:  # the complex loop, which keeps every non-finite bit
-        tower = _tower(spec, eps, False)
-    coeffs, recent = tower
+    coeffs, recent = _tower(spec, eps)
     arr = np.array(coeffs, dtype=complex)
     arr /= np.linalg.norm(arr)
     tail = 0.0 if compact else abs(arr[-1]) / (1.0 - min(max(recent), _RATIO_CAP))
     return CoefficientVector(arr, tail)
 
 
-def _tower(spec: CSSpec, eps: float, arrays: bool):
+def _tower(spec: CSSpec, eps: float):
     """(unnormalized coefficients, |ratio| of the last five steps) of the
     truncated tower.
 
     The step loop reads its squared ladder elements from
-    `algebra.ladder_elements`.  With `arrays` (a positive real amplitude) it
-    runs on floats and hands the tower to `_array_blocks` after _HEAD steps,
-    and returns None where a coefficient leaves float range.
+    `algebra.ladder_elements`.  A positive real amplitude (imaginary part +0)
+    runs it on floats for at most _HEAD steps, then `_array_blocks`; every
+    other amplitude runs it on complexes to the end.
     """
     d = spec.deformation
     compact = spec.family is CSFamily.SU2_PCS
     bgcs = spec.family is CSFamily.SU11_BGCS
     two_k = 2.0 * d.rep_label
-    # on floats, the complex loop's bits (the `polycs.hypergeom` argument)
-    amp = spec.amplitude.real if arrays else spec.amplitude
-    last = 1.0 if arrays else complex(1.0)
+    amp = spec.amplitude
+    arrays = amp.real > 0.0 and amp.imag == 0.0 and math.copysign(1.0, amp.imag) > 0.0
+    amp, last = (amp.real, 1.0) if arrays else (amp, complex(1.0))
     coeffs = [last]
     sumsq = 1.0  # running squared norm, for the noncompact truncation test
     recent = [0.0] * 5  # |ratio| of the last five steps, as a ring
@@ -280,9 +273,9 @@ def _tower(spec: CSSpec, eps: float, arrays: bool):
         last = last * ratio
         coeffs.append(last)
         size = abs(last)
-        if size > _RESCALE_AT:
-            if arrays and not size < math.inf:
-                return None
+        if not size <= _RESCALE_AT:
+            if not size < math.inf:
+                raise ConvergenceFailure(f"coefficient of the tower overflows at n = {n}")
             coeffs = [c / size for c in coeffs]
             last = coeffs[-1]
         if compact:  # no truncation test; |c_n|**2 overflows past 1e154
@@ -310,16 +303,16 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
 
     head holds the loop's coefficients, sumsq its running norm and window its
     last four |ratio|, oldest first.  The arrays repeat the loop's real IEEE
-    operations in its order: the ratios from `algebra.ladder_array`, the
-    coefficients by `np.multiply.accumulate` from the last one and the
-    running norm by `np.add.accumulate`, both sequential left folds, of
-    squares by `np.float_power`, libm `pow` per element as the loop's `**`.
-    A coefficient past _RESCALE_AT divides every coefficient before it and
-    restarts the fold from 1, as the loop does.  An element's error is
-    raised only where the loop would have read it, and the truncation test
-    reads the five ratios across block edges.  The blocks take _HEAD steps,
-    then double up to _MAX_BLOCK.  Returns None at a coefficient past float
-    range (a huge ratio, or an element of 0).
+    operations in its order: the ratios from `algebra.ladder_array` on the
+    block's index array, the coefficients by `np.multiply.accumulate` from
+    the last one and the running norm by `np.add.accumulate`, both
+    sequential left folds, of squares by `np.float_power`, libm `pow` per
+    element as the loop's `**`.  A coefficient past _RESCALE_AT ends its
+    block: it divides every coefficient before it, and the next block's fold
+    starts from 1, as the loop does.  An element's error is raised only
+    where the loop would have read it, and the truncation test reads the
+    five ratios across block edges.  The blocks take _HEAD steps, and a block
+    that runs to its end doubles the next, up to _MAX_BLOCK.
     """
     d, amp = spec.deformation, spec.amplitude.real
     compact = d.is_compact
@@ -332,71 +325,64 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
     length, blocks, rescales = _HEAD, 0, 0
     with np.errstate(all="ignore"):
         while True:
-            values, error = algebra.ladder_array(d, n + 1, min(n + length, top) + 1)
-            index = np.arange(n + 1, n + 1 + values.size, dtype=float)
+            index = np.arange(n + 1, min(n + length, top) + 1, dtype=float)
+            values, error = algebra.ladder_array(d, index)
             ratios = np.sqrt(values)
             if compact:
-                ratios = amp * ratios / index
+                ratios = amp * ratios / index[: values.size]
             elif bgcs:
                 ratios = amp / ratios
             else:
-                ratios = amp * (2.0 * d.rep_label + (index - 1.0)) / ratios
+                ratios = amp * (2.0 * d.rep_label + (index[: values.size] - 1.0)) / ratios
             carried = np.concatenate((carried[-4:], ratios))  # block ratio k at k + 4
-            if ratios.size:
-                ratios[0] *= last
-            pos = 0
-            while pos < ratios.size:
-                # after a rescale the fold restarts from 1.0, and 1.0 * ratio is exact
-                prods = np.multiply.accumulate(ratios[pos:])
-                cut = prods.size
-                if not np.maximum.reduce(prods) <= _RESCALE_AT:  # a rescale, or nan
-                    cut = int(np.argmin(prods <= _RESCALE_AT))
-                kept = prods[:cut]
-                if cut and not compact:
-                    sums = np.float_power(kept, 2.0)
-                    sums[0] += sumsq
-                    np.add.accumulate(sums, out=sums)
-                    sumsq = float(sums[-1])
-                    stop = _truncation(kept, sums, carried[pos : pos + cut + 4], eps)
-                    if stop is not None:
-                        chunks.append(kept[: stop + 1])
-                        recent = carried[pos + stop : pos + stop + 5]
-                        return _finish(spec, chunks, blocks + 1, rescales, recent)
-                if cut:
-                    chunks.append(kept)
-                if cut == prods.size:
-                    last = float(kept[-1])
-                    break
+            ratios[:1] *= last
+            prods = np.multiply.accumulate(ratios)
+            cut = prods.size
+            if not np.maximum.reduce(prods, initial=0.0) <= _RESCALE_AT:  # a rescale, or nan
+                cut = int(np.argmin(prods <= _RESCALE_AT))
+            kept = prods[:cut]
+            if cut and not compact:
+                sums = np.float_power(kept, 2.0)
+                sums[0] += sumsq
+                np.add.accumulate(sums, out=sums)
+                sumsq = float(sums[-1])
+                stop = _truncation(kept, sums, carried[: cut + 4], eps)
+                if stop is not None:
+                    chunks.append(kept[: stop + 1])
+                    return _finish(spec, chunks, blocks + 1, rescales, carried[stop : stop + 5])
+            blocks += 1
+            n += cut
+            if cut < prods.size:  # the rescale that ends the block
+                n += 1
                 size = float(prods[cut])
                 if not size < math.inf:
-                    return None
+                    raise ConvergenceFailure(f"coefficient of the tower overflows at n = {n}")
+                chunks.append(prods[: cut + 1])
                 for chunk in chunks:
-                    chunk /= size
-                chunks.append(np.ones(1))
-                last = 1.0
+                    chunk /= size  # the last to exactly 1.0, where the next fold starts
                 rescales += 1
-                pos += cut + 1
-                if compact:
-                    continue
-                try:
-                    square = size**2
-                except OverflowError:
-                    raise ConvergenceFailure(
-                        f"running norm of the tower overflows at n = {n + pos}"
-                    ) from None
-                # no truncation here: this step's ratio exceeds 1
-                sumsq = (sumsq + square) / square
-            blocks += 1
-            n += values.size
-            if error is not None:
-                raise error
+                carried = carried[: cut + 5]
+                if not compact:
+                    try:
+                        square = size**2
+                    except OverflowError:
+                        raise ConvergenceFailure(
+                            f"running norm of the tower overflows at n = {n}"
+                        ) from None
+                    # no truncation here: this step's ratio exceeds 1
+                    sumsq = (sumsq + square) / square
+            else:
+                chunks.append(kept)
+                if error is not None:
+                    raise error
+                length = min(2 * length, _MAX_BLOCK)
+            last = float(chunks[-1][-1])
             if n == top:
                 if compact:
                     return _finish(spec, chunks, blocks, rescales, carried[-5:])
                 raise ConvergenceFailure(
                     f"coefficient recurrence did not truncate within {top} terms"
                 )
-            length = min(2 * length, _MAX_BLOCK)
 
 
 def _truncation(sizes: np.ndarray, sums: np.ndarray, ratios: np.ndarray, eps: float):
@@ -432,9 +418,12 @@ def apply_lowering(spec: DeformationSpec, v: CoefficientVector) -> CoefficientVe
     src = v.coeffs
     if spec.is_compact and src.size > spec.dimension + 1:
         raise DomainError(f"{src.size} entries outrun the {spec.dimension}-state tower")
+    with np.errstate(all="ignore"):  # an element past float range is the error below
+        values, error = algebra.ladder_array(spec, np.arange(1.0, src.size))
+    if error is not None:
+        raise error
     out = np.zeros(max(src.size - 1, 1), dtype=complex)
-    for n, value in enumerate(algebra.ladder_elements(spec, 1, src.size)):
-        out[n] = math.sqrt(value) * src[n + 1]
+    out[: values.size] = np.sqrt(values) * src[1:]
     return CoefficientVector(out, v.tail_bound)
 
 

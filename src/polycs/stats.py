@@ -79,19 +79,27 @@ def norm_and_slope(family: CSFamily, params: SeriesParams) -> tuple[float, float
     return n0, n1
 
 
+def slope_underflows(n1):
+    """Whether N' (a float or an array) is nonzero while N'**2 falls below the
+    normal range, where I, Q and the metric would lose N'' or N' silently."""
+    return (n1 != 0.0) & (abs(n1) < 2.0**-511)  # 2**-1022 is the smallest normal
+
+
 def norm_derivatives(spec: CSSpec) -> tuple[float, float, float]:
     """(N, N', N'') with respect to xbar, by parameter shifts.
 
-    Raises ConvergenceFailure when any of the three is not finite.
+    Raises ConvergenceFailure when any of the three is not finite or N'**2 underflows.
     """
     params = series_params(spec)
     n0, n1 = norm_and_slope(spec.family, params)
     n2 = pfq_derivative(params, 2).value.real
     if not (math.isfinite(n0) and math.isfinite(n1) and math.isfinite(n2)):
-        raise ConvergenceFailure(
-            f"norm derivatives not finite at xbar={spec.xbar:g}: ({n0}, {n1}, {n2})"
-        )
-    return n0, n1, n2
+        reason = "norm derivatives not finite"
+    elif slope_underflows(n1):
+        reason = "N'**2 underflows"
+    else:
+        return n0, n1, n2
+    raise ConvergenceFailure(f"{reason} at xbar={spec.xbar:g}: ({n0}, {n1}, {n2})")
 
 
 def photon_distribution(

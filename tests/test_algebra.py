@@ -132,6 +132,18 @@ class TestLadderSq:
                 assert ladder_sq(spec, 0) == 0.0
                 assert ladder_sq(spec, spec.two_j + 1) == 0.0
 
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: linear_su11(1.0).two_j, "two_j is defined for the compact kind only"),
+            (lambda: ladder_sq(linear_su2(1.0), -1), "tower index must be non-negative, got -1"),
+        ],
+        ids=["noncompact-two-j", "negative-index"],
+    )
+    def test_typed_refusals(self, read, message):
+        with pytest.raises(DomainError, match=message):
+            read()
+
     def test_out_of_tower_rejected(self):
         with pytest.raises(DomainError):
             ladder_sq(linear_su2(0.5), 3)
@@ -195,7 +207,8 @@ class TestLadderArray:
     def test_matches_generator(self, spec, start, count):
         values, error = generator_outcome(spec, start, start + count)
         with np.errstate(all="ignore"):  # an element past float range
-            array, array_error = algebra.ladder_array(spec, start, start + count)
+            index = np.arange(start, start + count, dtype=float)
+            array, array_error = algebra.ladder_array(spec, index)
         assert array.tobytes() == np.array(values, dtype=float).tobytes()
         got = None if array_error is None else (type(array_error), str(array_error))
         assert got == error

@@ -95,3 +95,54 @@ def test_unpaired_runs_are_left_out():
     lines = bench_pairs.summarize(runs, METRICS)
     assert lines[0] == "geometry: 1 pairs"
     assert "won 1/1" in lines[3]
+
+
+def stub_checkout(root, first_run_fails):
+    """A checkout whose perfbench/run.py prints one canned result line, or, on
+    its first run only when asked, exits 1 with a message on stderr."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    result = canned("geometry", 0, "parent", 0.3, 40.0)["result"]
+    (root / "perfbench" / "run.py").write_text(
+        "import pathlib, sys\n"
+        f"if {first_run_fails} and not pathlib.Path('ran').exists():\n"
+        "    pathlib.Path('ran').touch()\n"
+        "    sys.exit('worker died: out of memory')\n"
+        f"print({json.dumps(result)!r})\n"
+    )
+    return root
+
+
+def test_a_failed_run_is_reported_and_the_session_carries_on(tmp_path, monkeypatch, capsys):
+    parent = stub_checkout(tmp_path / "parent", False)
+    change = stub_checkout(tmp_path / "change", True)
+    monkeypatch.setattr(
+        "sys.argv",
+        ["bench_pairs.py", "--parent", str(parent), "--change", str(change),
+         "--workload", "geometry", "--seed", "1", "--pairs", "2"],
+    )
+    assert bench_pairs.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    [failed] = [line for line in out if line.startswith("failed ")]
+    assert json.loads(failed.removeprefix("failed ")) == {
+        "workload": "geometry", "pair": 0, "side": "change",
+        "result": {"exit": 1, "stderr": "worker died: out of memory"},
+    }
+    assert sum(line.startswith("run ") for line in out) == 3
+    summary = out[out.index("seed 1, 1 s per run") + 1 :]
+    assert summary[:3] == [
+        "geometry: 1 pairs",
+        "  parent: failed [(39, 864)], correct True",
+        "  change: failed [(39, 864)], correct True, 1 runs exited nonzero",
+    ]
+    assert "won 0/1 (ties 1)" in summary[3]
+
+
+def test_no_complete_pair_gives_no_metric_lines():
+    runs = [canned("catalog", 0, "parent", 0.4, 40.0)]
+    runs.append({"workload": "catalog", "pair": 0, "side": "change", "result": {"exit": 1, "stderr": ""}})
+    assert bench_pairs.summarize(runs, METRICS) == [
+        "catalog: 0 pairs",
+        "  parent: failed [], correct True",
+        "  change: failed [], correct True, 1 runs exited nonzero",
+    ]

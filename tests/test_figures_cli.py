@@ -305,6 +305,13 @@ class TestNormTable:
         with pytest.raises(ConvergenceFailure, match=r"xbar=0\.9999, label=0\.5"):
             figures._norm_table.__wrapped__(CSFamily.SU11_PCS, (1.0,), grid)
 
+    @pytest.mark.parametrize("family", [CSFamily.SU11_BGCS, CSFamily.SU11_PCS])
+    def test_underflowed_slope_square_is_named(self, family):
+        # with a leading coefficient of 1e-300, N' is of that size
+        grid = GridSpec(0.5, 1.0, 2, (1.0,))
+        with pytest.raises(ConvergenceFailure, match=r"N'\*\*2 underflows at xbar=0\.5, label=1: "):
+            figures._norm_table.__wrapped__(family, (1.0, 1e-300), grid)
+
     def test_non_finite_cell_is_named(self):
         # (1 + x)^400 at x = 1e4 leaves float range; x = 1 does not
         grid = GridSpec(1.0, 1e4, 2, (1.0, 200.0))
@@ -400,6 +407,26 @@ class TestCLI:
         assert "mean=0.5 " in out
         assert "I=0 " in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["stats", "--family", "su2-pcs", "--label", "1", "--coeffs", "1,x"],
+                "cannot parse coefficient list '1,x'",
+            ),
+            (["figure", "su2-mandel", "--grid", "0:1"], "grid must be min:max:n, got '0:1'"),
+            (["figure", "su2-mandel", "--grid", "0:1:x"], "cannot parse grid '0:1:x'"),
+            (["figure"], "missing figure id (or --list)"),
+            (["stats", "--family", "su2-pcs", "--label", "1", "--p", "0"], "--p must be positive, got 0"),
+        ],
+        ids=["coeffs", "grid-shape", "grid-number", "figure-id", "p-zero"],
+    )
+    def test_bad_arguments_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: DomainError: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_p_coeffs_disagreement_exit_2(self, capsys):
         code = main(
             [
@@ -489,6 +516,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ConvergenceFailure: running norm") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "family, amplitude, line",
+        [
+            ("su11-bgcs", "1e-140", "xbar=1e+20: (1.0, 5e-301, 0.0)"),
+            ("su11-pcs", "1e-145", "xbar=1e+10: (1.0, 2e-300, 0.0)"),
+        ],
+    )
+    def test_stats_underflowed_slope_square_exit_3(self, capsys, family, amplitude, line):
+        # N'^2 underflows to 0: I would divide by it, and Q would drop N''
+        argv = ["--label", "1", "--coeffs=1,1e-300", "--amplitude-re", amplitude]
+        code = main(["stats", "--family", family, *argv])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: ConvergenceFailure: N'**2 underflows at {line}\n"
 
     def test_stats_non_finite_ladder_element_exit_2(self, capsys):
         # phi_1 = g(k) - g(k - 1) is inf - inf at k = 1e100

@@ -435,6 +435,11 @@ class TestLaplaceCheck:
         with pytest.raises(DomainError):
             LaplaceProbe((1.0,), 1.0, 0.0)
 
+    @pytest.mark.parametrize("coeffs", [(1.0, -1.0), (-2.0,)])
+    def test_probe_refuses_a_negative_leading_coefficient(self, coeffs):
+        with pytest.raises(DomainError, match="positive leading coefficient"):
+            LaplaceProbe((1.0,), 1.0, 1.0, deformation_coeffs=coeffs)
+
     @pytest.mark.parametrize("c", [(math.nan,), (0.6, math.nan), (math.nan, 0.8j)])
     def test_probe_refuses_a_nan_coefficient(self, c):
         with pytest.raises(DomainError, match="must be normalized"):

@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ class TestCSSpec:
             CSSpec(family, deformation, amplitude)
         with pytest.raises(DomainError, match="xbar must be finite"):
             cs_from_xbar(family, deformation, math.nan)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: CSSpec(CSFamily.SU11_BGCS, su11_spec((1.0, -1.0), 1.0), 0.5),
+                "positive leading deformation coefficient",
+            ),
+            (
+                lambda: cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), -0.5),
+                "xbar must be non-negative, got -0.5",
+            ),
+            (
+                lambda: cs_from_xbar(CSFamily.SU2_PCS, su2_spec((1.0, -1.0), 1.0), 0.5),
+                "positive leading deformation coefficient",
+            ),
+            (
+                lambda: apply_lowering(linear_su2(0.5), basis_vector(0, 4)),
+                "4 entries outrun the 2-state tower",
+            ),
+        ],
+        ids=["spec-leading", "negative-xbar", "from-xbar-leading", "oversized-lowering"],
+    )
+    def test_typed_refusals(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
 
     def test_series_variable_mapping(self):
         # x = c_p |zeta|^2, y = |xi|^2 / c_p, z = |eta|^2 / c_p
@@ -243,7 +270,10 @@ def reference_ratio(spec, n):
 
 
 def reference_coefficients(spec, eps):
-    """`coefficients` as one ratio call per step: the bit oracle of the tower."""
+    """`coefficients` as one ratio call per step: the bit oracle of the tower.
+
+    A coefficient or a running norm past float range is ConvergenceFailure
+    at its index."""
     validate(series_params(spec))
     compact = spec.family is CSFamily.SU2_PCS
     if spec.amplitude == 0.0 and not compact:
@@ -259,6 +289,8 @@ def reference_coefficients(spec, eps):
         coeffs.append(nxt)
         n += 1
         size = abs(nxt)
+        if not size < math.inf:
+            raise ConvergenceFailure(f"coefficient of the tower overflows at n = {n}")
         if size > 1e150:
             coeffs = [c / size for c in coeffs]
         if compact:
@@ -385,6 +417,44 @@ class TestTowerBitIdentity:
         assert len(outcome[0]) == 16 * (steps + 1)
 
 
+class TestCoefficientOverflow:
+    """A coefficient past float range is ConvergenceFailure at its index, on
+    every path, where a rerun on the complex loop once gave an all-nan vector
+    (compact) or ran to the step cap (noncompact).  A patched ladder rule,
+    base everywhere but spike at index `at`, forces the overflow."""
+
+    @pytest.mark.parametrize(
+        "family, deformation, amplitude, at, spike, base",
+        [
+            (CSFamily.SU2_PCS, linear_su2(3.0), 1e150, 2, 1e20, 1.0),
+            (CSFamily.SU2_PCS, linear_su2(3.0), 1e150j, 2, 1e20, 1.0),
+            (CSFamily.SU2_PCS, linear_su2(50.0), 1e150, 70, 1e30, 1.0),
+            (CSFamily.SU2_PCS, linear_su2(50.0), 1e150j, 70, 1e30, 1.0),
+            (CSFamily.SU11_BGCS, linear_su11(1.0), 1e147, 30, 5e-324, 1e294),
+            (CSFamily.SU11_BGCS, linear_su11(1.0), 1e147, 70, 5e-324, 1e294),
+            (CSFamily.SU11_BGCS, linear_su11(1.0), 1e147j, 70, 5e-324, 1e294),
+        ],
+        ids=[
+            "real-head", "complex-loop", "real-arrays", "complex-long",
+            "bgcs-head", "bgcs-arrays", "bgcs-complex",
+        ],
+    )
+    def test_raises_at_its_index(self, monkeypatch, family, deformation, amplitude, at, spike, base):
+        spec = CSSpec(family, deformation, amplitude)
+        series_params(spec)  # the gate's roots, memoised before the ladder is patched
+
+        def rule(coeffs, compact, offset, end, n):
+            return np.where(n == at, spike, base)[()]
+
+        monkeypatch.setattr(states.algebra, "_ladder_rule", rule)
+        monkeypatch.setattr(
+            sys.modules[__name__], "reference_ladder_sq", lambda d, n: spike if n == at else base
+        )
+        message = f"coefficient of the tower overflows at n = {at}"
+        assert tower_outcome(coefficients, spec, 1e-12) == (ConvergenceFailure, message)
+        assert tower_outcome(reference_coefficients, spec, 1e-12) == (ConvergenceFailure, message)
+
+
 def test_array_squares_round_as_the_loop():
     # The array blocks square by np.float_power, which calls libm pow per
     # element as the loop's ** does; x * x and np.power differ on a few
@@ -405,7 +475,7 @@ class TestTowerLog:
             ),
             (
                 cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 1e6),
-                "tower su11-bgcs (1.0,) label 1: 1235 coefficients, 5 array blocks, 2 rescales",
+                "tower su11-bgcs (1.0,) label 1: 1235 coefficients, 7 array blocks, 2 rescales",
             ),
         ],
         ids=["long", "rescaling"],

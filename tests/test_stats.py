@@ -13,6 +13,7 @@ from polycs.algebra import (
     linear_su2,
     linear_su11,
     su2_spec,
+    su11_spec,
 )
 from polycs.errors import ConvergenceFailure, DegenerateInput
 from polycs.hypergeom import pochhammer
@@ -375,6 +376,21 @@ class TestStatRecord:
         assert record.intensity_corr == pytest.approx(fact2 / mean**2, rel=1e-8)
         assert record.mandel_q == pytest.approx(var / mean - 1.0, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "family, amplitude, where",
+        [
+            (CSFamily.SU11_BGCS, 1e-140, "xbar=1e+20: (1.0, 5e-301, 0.0)"),
+            (CSFamily.SU11_PCS, 1e-145, "xbar=1e+10: (1.0, 2e-300, 0.0)"),
+        ],
+    )
+    def test_underflowed_slope_square_is_typed(self, family, amplitude, where):
+        # N'^2 underflows to 0: I would divide by it, and Q would drop N''
+        spec = CSSpec(family, su11_spec((1.0, 1e-300), 1.0), amplitude)
+        for route in (stat_record, norm_derivatives):
+            with pytest.raises(ConvergenceFailure) as info:
+                route(spec)
+            assert str(info.value) == f"N'**2 underflows at {where}"
+
     def test_zero_amplitude_nan_correlation(self):
         spec = CSSpec(CSFamily.SU2_PCS, linear_su2(1.0), 0.0)
         record = stat_record(spec)
@@ -410,6 +426,13 @@ class TestGridSpec:
 
         with pytest.raises(DomainError):
             GridSpec(-1.0, 1.0, 5, (1.0,))
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.5), (0.0, -1e-300)])
+    def test_rejects_max_below_min(self, bounds):
+        from polycs.errors import DomainError
+
+        with pytest.raises(DomainError, match="xbar_max must be >= xbar_min"):
+            GridSpec(*bounds, 3, (1.0,))
 
     def test_rejects_empty_labels(self):
         from polycs.errors import DomainError
