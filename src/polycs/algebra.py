@@ -34,9 +34,11 @@ import numpy as np
 
 from .errors import DomainError, PolycsError, RootSolveFailure, UnitarityViolation
 
-# Squared ladder elements may round to tiny negatives at exact zeros of the
-# tower boundary; anything above this magnitude is a genuine violation.
-NEGATIVE_TOL = 1e-12
+# Squared ladder elements may round to small negatives at their exact zeros.
+# A negative element within this fraction of the magnitude of its rule's terms,
+# |end| + sum_r |c_r| |t|^r, is rounding and is clamped to 0; beyond it, the
+# element is a genuine violation.
+NEGATIVE_RTOL = 8 * 2.0**-52
 
 _HALF_INT_TOL = 1e-9
 
@@ -186,6 +188,23 @@ def _ladder_rule(coeffs, compact, offset, end, n):
     return end - acc if compact else acc - end
 
 
+def _rounding_floor(coeffs, offset, end, n):
+    """The lowest value of `_ladder_rule` at index n (a float or a float array
+    of indices) that is rounding of a zero: -NEGATIVE_RTOL times the magnitude
+    of its terms, in IEEE steps that give an array entry the bits of the
+    scalar.  Each term is scaled before the sum, which then stays finite
+    wherever the element is, so a finite negative of terms near float range
+    is still refused."""
+    m = offset + n - 1.0
+    t = abs(m * (m + 1.0))
+    floor = -NEGATIVE_RTOL * abs(end)
+    power = 1.0
+    for c in coeffs:
+        power *= t
+        floor -= NEGATIVE_RTOL * (abs(c) * power)
+    return floor
+
+
 def _element_error(n: int, value: float) -> PolycsError:
     """The refusal of a squared ladder element beyond the clamp at index n."""
     if value < 0.0:
@@ -197,8 +216,8 @@ def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = No
     """psi_n (compact) or phi_n for start <= n < stop, by default to the end of
     the tower (n = 2j + 1, or never): the one home of the ladder rule, reading
     the constant end g(j) or g(k - 1) once.  A rounding-level negative is
-    clamped to zero; beyond NEGATIVE_TOL it raises UnitarityViolation, and a
-    non-finite value DomainError, at its n.
+    clamped to zero; beyond `_rounding_floor` (or -inf) it raises
+    UnitarityViolation, and an inf or nan DomainError, at its n.
     """
     coeffs, compact = spec.coeffs, spec.is_compact
     offset, end = _ladder_ends(spec)
@@ -207,7 +226,7 @@ def ladder_elements(spec: DeformationSpec, start: int = 1, stop: int | None = No
     for n in itertools.count(start) if stop is None else range(start, stop):
         value = _ladder_rule(coeffs, compact, offset, end, n)
         if value < 0.0:
-            if value < -NEGATIVE_TOL:
+            if value < _rounding_floor(coeffs, offset, end, n) or value == -math.inf:
                 raise _element_error(n, value)
             value = 0.0
         elif not value < math.inf:
@@ -230,10 +249,14 @@ def ladder_array(
     error = None
     if values.size:
         low = np.minimum.reduce(values)
-        if not (low >= -NEGATIVE_TOL and np.maximum.reduce(values) < math.inf):
-            bad = int(np.argmin((values >= -NEGATIVE_TOL) & (values < math.inf)))
-            error = _element_error(int(index[bad]), float(values[bad]))
-            values = values[:bad]
+        if not (low >= 0.0 and np.maximum.reduce(values) < math.inf):
+            ok = np.abs(values) < math.inf
+            if not low >= 0.0:
+                ok &= values >= _rounding_floor(spec.coeffs, offset, end, index)
+            bad = int(np.argmin(ok))
+            if not ok[bad]:
+                error = _element_error(int(index[bad]), float(values[bad]))
+                values = values[:bad]
         if not low >= 0.0:
             np.maximum(values, 0.0, out=values)
     return values, error

@@ -27,8 +27,10 @@ after the head it continues on float64 arrays, in blocks that double from
 _HEAD steps up to _MAX_BLOCK: ratios from `algebra.ladder_array`,
 coefficients and running norm as sequential accumulates, and squares from
 libm `pow` (`np.float_power`), which rounds as the loop's `**` does where
-x * x does not; a rescale ends its block.  Each step keeps the bits of the
-complex loop, which alone runs every other amplitude.  No tower is rerun.
+x * x does not.  The blocks fill one buffer of the tower's length, and a
+rescale ends its block with one division of it.  Each step keeps the bits
+of the complex loop, which alone runs every other amplitude.  No tower is
+rerun.
 """
 
 from __future__ import annotations
@@ -302,26 +304,28 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
     """`_tower`'s step loop from step len(head) on, on float64 arrays.
 
     head holds the loop's coefficients, sumsq its running norm and window its
-    last four |ratio|, oldest first.  The arrays repeat the loop's real IEEE
-    operations in its order: the ratios from `algebra.ladder_array` on the
-    block's index array, the coefficients by `np.multiply.accumulate` from
-    the last one and the running norm by `np.add.accumulate`, both
-    sequential left folds, of squares by `np.float_power`, libm `pow` per
-    element as the loop's `**`.  A coefficient past _RESCALE_AT ends its
-    block: it divides every coefficient before it, and the next block's fold
-    starts from 1, as the loop does.  An element's error is raised only
-    where the loop would have read it, and the truncation test reads the
-    five ratios across block edges.  The blocks take _HEAD steps, and a block
-    that runs to its end doubles the next, up to _MAX_BLOCK.
+    last four |ratio|, oldest first.  The tower lives in two buffers of
+    top + 1 entries, indexed by step: out, the coefficients, and seen, the
+    |ratio| of each step.  The arrays repeat the loop's real IEEE operations
+    in its order: the ratios from `algebra.ladder_array` on the block's index
+    array, the coefficients by `np.multiply.accumulate` from the last one and
+    the running norm by `np.add.accumulate`, both sequential left folds, of
+    squares by `np.float_power`, libm `pow` per element as the loop's `**`.
+    A coefficient past _RESCALE_AT ends its block: one division of out up to
+    it, and the next block's fold starts from 1, as the loop does.  An
+    element's error is raised only where the loop would have read it, and the
+    truncation test reads the five ratios across block edges.  The blocks
+    take _HEAD steps, and a block that runs to its end doubles the next, up
+    to _MAX_BLOCK.
     """
     d, amp = spec.deformation, spec.amplitude.real
     compact = d.is_compact
     bgcs = spec.family is CSFamily.SU11_BGCS
     top = d.two_j if compact else _MAX_COEFFS
     n = len(head) - 1  # steps taken
-    chunks = [np.array(head)]
-    last = head[-1]
-    carried = window  # |ratio| of the steps so far, the newest last
+    out, seen = np.empty(top + 1), np.empty(top + 1)
+    out[: n + 1] = head
+    seen[n - 3 : n + 1] = window
     length, blocks, rescales = _HEAD, 0, 0
     with np.errstate(all="ignore"):
         while True:
@@ -334,9 +338,9 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
                 ratios = amp / ratios
             else:
                 ratios = amp * (2.0 * d.rep_label + (index[: values.size] - 1.0)) / ratios
-            carried = np.concatenate((carried[-4:], ratios))  # block ratio k at k + 4
-            ratios[:1] *= last
-            prods = np.multiply.accumulate(ratios)
+            seen[n + 1 : n + 1 + ratios.size] = ratios
+            ratios[:1] *= out[n]
+            prods = np.multiply.accumulate(ratios, out=out[n + 1 : n + 1 + ratios.size])
             cut = prods.size
             if not np.maximum.reduce(prods, initial=0.0) <= _RESCALE_AT:  # a rescale, or nan
                 cut = int(np.argmin(prods <= _RESCALE_AT))
@@ -346,22 +350,19 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
                 sums[0] += sumsq
                 np.add.accumulate(sums, out=sums)
                 sumsq = float(sums[-1])
-                stop = _truncation(kept, sums, carried[: cut + 4], eps)
+                stop = _truncation(kept, sums, seen[n - 3 : n + 1 + cut], eps)
                 if stop is not None:
-                    chunks.append(kept[: stop + 1])
-                    return _finish(spec, chunks, blocks + 1, rescales, carried[stop : stop + 5])
+                    end = n + 2 + stop
+                    return _finish(spec, out[:end], blocks + 1, rescales, seen[end - 5 : end])
             blocks += 1
             n += cut
             if cut < prods.size:  # the rescale that ends the block
                 n += 1
-                size = float(prods[cut])
+                size = float(out[n])
                 if not size < math.inf:
                     raise ConvergenceFailure(f"coefficient of the tower overflows at n = {n}")
-                chunks.append(prods[: cut + 1])
-                for chunk in chunks:
-                    chunk /= size  # the last to exactly 1.0, where the next fold starts
+                out[: n + 1] /= size  # out[n] to exactly 1.0, where the next fold starts
                 rescales += 1
-                carried = carried[: cut + 5]
                 if not compact:
                     try:
                         square = size**2
@@ -372,14 +373,12 @@ def _array_blocks(spec: CSSpec, eps: float, head: list, sumsq: float, window: li
                     # no truncation here: this step's ratio exceeds 1
                     sumsq = (sumsq + square) / square
             else:
-                chunks.append(kept)
                 if error is not None:
                     raise error
                 length = min(2 * length, _MAX_BLOCK)
-            last = float(chunks[-1][-1])
             if n == top:
                 if compact:
-                    return _finish(spec, chunks, blocks, rescales, carried[-5:])
+                    return _finish(spec, out, blocks, rescales, seen[-5:])
                 raise ConvergenceFailure(
                     f"coefficient recurrence did not truncate within {top} terms"
                 )
@@ -400,11 +399,11 @@ def _truncation(sizes: np.ndarray, sums: np.ndarray, ratios: np.ndarray, eps: fl
     return k if done[k] else None
 
 
-def _finish(spec: CSSpec, chunks: list, blocks: int, rescales: int, recent: np.ndarray):
-    """`_array_blocks`' result, with its DEBUG record."""
+def _finish(spec: CSSpec, coeffs: np.ndarray, blocks: int, rescales: int, recent: np.ndarray):
+    """`_array_blocks`' result, its coefficient buffer up to the last kept
+    step, with its DEBUG record."""
     import logging  # loaded by the first array tower, not with the package
 
-    coeffs = np.concatenate(chunks)
     logging.getLogger(__name__).debug(
         "tower %s %s label %g: %d coefficients, %d array blocks, %d rescales",
         spec.family.value, spec.deformation.coeffs, spec.deformation.rep_label,

@@ -22,7 +22,15 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateInput, DomainError
 from .hypergeom import SeriesParams, pfq, pfq_derivative
-from .states import CoefficientVector, CSFamily, CSSpec, arg_sign, coefficients, series_params
+from .states import (
+    CoefficientVector,
+    CSFamily,
+    CSSpec,
+    arg_sign,
+    check_eps,
+    coefficients,
+    series_params,
+)
 
 # Largest xbar grid a GridSpec accepts (500 times the figure catalog's 200
 # points) and largest photon_distribution n_max, each refused before an
@@ -102,6 +110,12 @@ def norm_derivatives(spec: CSSpec) -> tuple[float, float, float]:
     raise ConvergenceFailure(f"{reason} at xbar={spec.xbar:g}: ({n0}, {n1}, {n2})")
 
 
+def check_n_max(n_max: int | None) -> None:
+    """Raise DomainError unless n_max is None or in 0..MAX_GRID_POINTS."""
+    if n_max is not None and not 0 <= n_max <= MAX_GRID_POINTS:
+        raise DomainError(f"n_max must be in 0..{MAX_GRID_POINTS}, got {n_max}")
+
+
 def photon_distribution(
     spec: CSSpec, n_max: int | None = None, eps: float = 1e-12
 ) -> np.ndarray:
@@ -114,8 +128,7 @@ def photon_distribution(
     probs = np.abs(coefficients(spec, eps=eps).coeffs) ** 2
     if n_max is None:
         return probs
-    if not 0 <= n_max <= MAX_GRID_POINTS:
-        raise DomainError(f"n_max must be in 0..{MAX_GRID_POINTS}, got {n_max}")
+    check_n_max(n_max)
     out = np.zeros(n_max + 1)
     take = min(probs.size, n_max + 1)
     out[:take] = probs[:take]
@@ -125,8 +138,9 @@ def photon_distribution(
 # Each statistic from (N, N', N''), shared by the public functions, stat_record
 # and the figure tables, with the xbar = 0 rules: mean and Q vanish, I is 0/0
 # (nan in tables); N' = 0, the state |0> of an su(2) tower with psi_1 = 0,
-# takes the same rules.  Where n1**2 or xbar * n1 leaves float range (large
-# su(2) j), I and the mean take the ratio form; all other values keep their bits.
+# takes the same rules.  Where n1**2, xbar * n1 or the metric's (n1 / n0)**2
+# leaves float range (large su(2) j), I, the mean and the metric take a ratio
+# form; all other values keep their bits.
 def mean_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
     if xbar == 0.0 or n1 == 0.0:
         return 0.0
@@ -151,7 +165,16 @@ def mandel_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
 
 def metric_from_norms(xbar: float, n0: float, n1: float, n2: float) -> float:
     ratio = n1 / n0
-    return ratio + xbar * (n2 / n0 - ratio**2)
+    try:
+        metric = ratio + xbar * (n2 / n0 - ratio**2)
+        if math.isfinite(metric):
+            return metric
+    except OverflowError:  # ratio**2 past float range
+        pass
+    metric = ratio + (xbar * (n2 / n0) - (xbar * ratio) * ratio)
+    if math.isfinite(metric):
+        return metric
+    raise ConvergenceFailure(f"metric factor not finite at xbar={xbar:g}: ({n0}, {n1}, {n2})")
 
 
 def mean_photon(spec: CSSpec) -> float:
@@ -189,9 +212,15 @@ def direct_moments(v: CoefficientVector) -> tuple[float, float, float]:
 def stat_record(
     spec: CSSpec, n_max: int | None = None, eps: float = 1e-12
 ) -> StatRecord:
-    """Assemble the full statistics record for one state."""
-    dist = photon_distribution(spec, n_max=n_max, eps=eps)
+    """Assemble the full statistics record for one state.
+
+    eps and n_max are checked first, then the norm series: a refused series
+    costs no tower, and a state that both refuse reports the series' error.
+    """
+    check_eps(eps)
+    check_n_max(n_max)
     xbar, norms = spec.xbar, norm_derivatives(spec)
+    dist = photon_distribution(spec, n_max=n_max, eps=eps)
     return StatRecord(
         xbar=xbar,
         photon_dist=tuple(dist.tolist()),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,10 @@ class TestLadderArray:
     # phi_116 overflows; phi_32 is the first negative element
     @example(spec=su11_spec((1.0, 1e300), 1.0), start=60, count=100)
     @example(spec=su11_spec((1.0, -1e-3), 1.0), start=2, count=64)
+    # every element is a genuine negative near -1e-205, far smaller than 1e-12
+    @example(spec=su2_spec((-1.1265264162100174e-207, 1.439757171274797e-286), 20.0), start=1, count=8)
+    # phi_1 = -3.5e303 is finite, while its terms' magnitudes sum past float range
+    @example(spec=su11_spec((-1.5e300, 1e292), 8000.0), start=1, count=8)
     @settings(max_examples=300, deadline=None)
     def test_matches_generator(self, spec, start, count):
         values, error = generator_outcome(spec, start, start + count)
@@ -423,6 +428,37 @@ class TestDeformationRoots:
         # gives infinite roots
         with pytest.raises(RootSolveFailure):
             deformation_roots(spec)
+
+
+class TestRelativeClamp:
+    """A negative element is rounding, and clamped to 0, only within a few
+    eps of the magnitude of its rule's terms, |end| + sum_r |c_r| |t|^r."""
+
+    def test_rounding_negatives_are_clamped(self):
+        # psi_1 and psi_7 round to -5.7e-14, -0.34 eps of their terms' magnitude
+        spec = su2_spec((35.21875, -3.325, 0.1), 3.5)
+        assert ladder_sq(spec, 1) == ladder_sq(spec, 7) == 0.0
+        validate_unitarity(spec)
+
+    def test_tiny_genuine_negative_refused(self):
+        # psi_1 = -4.5e-206 is far below 1e-12, but -0.05 of its terms' magnitude
+        spec = su2_spec((-1.1265264162100174e-207, 1.439757171274797e-286), 20.0)
+        with pytest.raises(UnitarityViolation, match="n=1: -4.506105664840068e-206"):
+            validate_unitarity(spec)
+
+    @pytest.mark.parametrize("kind", list(AlgebraKind))
+    def test_scaled_non_unitary_twin_refused(self, kind):
+        # 2**-600 scales every element exactly, so the twin is refused at the same n
+        for scale in (0, -600):
+            coeffs = tuple(math.ldexp(c, scale) for c in (-3.0, 0.25, 2.0))
+            with pytest.raises(UnitarityViolation, match="n=1: "):
+                validate_unitarity(DeformationSpec(kind, coeffs, 0.5))
+
+    def test_finite_negative_with_terms_near_float_range_refused(self):
+        # phi_1 = -3.5e303 is finite, while its terms' magnitudes sum past float range
+        spec = su11_spec((-1.5e300, 1e292), 8000.0)
+        with pytest.raises(UnitarityViolation, match="n=1: -3.52000000001"):
+            ladder_sq(spec, 1)
 
 
 class TestValidateUnitarity:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from polycs import algebra, figures, stats
-from polycs.algebra import higgs_su11
+from polycs.algebra import higgs_su11, linear_su11
 from polycs.cli import main
 from polycs.errors import ConvergenceFailure, DomainError
 from polycs.figures import (
@@ -17,7 +17,7 @@ from polycs.figures import (
     render_figure,
     write_figure,
 )
-from polycs.states import CSFamily, cs_from_xbar, family_deformation
+from polycs.states import CSFamily, CSSpec, coefficients, cs_from_xbar, family_deformation
 from polycs.stats import GridSpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -510,12 +510,43 @@ class TestCLI:
         assert "error: UnitarityViolation: " in capsys.readouterr().err
 
     def test_stats_running_norm_overflow_exit_3(self, capsys):
-        # |c_1| = 1.3e154 / sqrt(phi_1 = 0.5), about 1.8e154: its square leaves float range
+        # |c_1| = 1.3e154 / sqrt(phi_1 = 0.5), about 1.8e154: its square leaves
+        # float range.  The norm series, which stat_record reads before the
+        # tower, fails as well, and its error is the one reported.
         argv = ["--label", "0.25", "--amplitude-re", "1.3e154"]
         code = main(["stats", "--family", "su11-bgcs", *argv])
-        err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: ConvergenceFailure: running norm") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: ConvergenceFailure: series did not settle within 10000 terms "
+            "(arg=1.6899999999999998e+308)\n"
+        )
+        spec = CSSpec(CSFamily.SU11_BGCS, linear_su11(0.25), 1.3e154)
+        with pytest.raises(ConvergenceFailure, match="running norm of the tower overflows at n = 1"):
+            coefficients(spec)
+
+    def test_stats_metric_past_the_square_exit_0(self, capsys):
+        # (N'/N)**2 leaves float range at xbar = 1.06e-289; the metric is 8.85e282
+        argv = [
+            "--label", "0.5", "--coeffs=0.054264975744206884,6.13109639361356e-285",
+            "--amplitude-re", "0.004154790084800588", "--json",
+        ]
+        code = main(["stats", "--family", "su2-pcs", *argv])
+        assert code == 0
+        metric = json.loads(capsys.readouterr().out)["metric"]
+        assert math.isfinite(metric) and metric == pytest.approx(8.85076185343e282, rel=1e-11)
+
+    def test_stats_tiny_negative_element_exit_2(self, capsys):
+        # psi_1 = -4.5e-206 lies below 1e-12 but is -0.05 of its terms' size
+        argv = [
+            "--label", "20", "--coeffs=-1.1265264162100174e-207,1.439757171274797e-286",
+            "--amplitude-re", "0.07725205907742079", "--json",
+        ]
+        code = main(["stats", "--family", "su2-pcs", *argv])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: UnitarityViolation: squared ladder element is negative at n=1: "
+            "-4.506105664840068e-206\n"
+        )
 
     @pytest.mark.parametrize(
         "family, amplitude, line",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from polycs import states, stats
 from polycs.algebra import (
-    NEGATIVE_TOL,
     higgs_su2,
     higgs_su11,
     linear_su2,
@@ -35,6 +34,11 @@ from polycs.states import (
 from polycs.verify import _draw_cs
 
 LABELS = (0.5, 1.0, 3.0, 8.0)
+# The reference tower's own clamp, absolute.  The package's is relative to the
+# ladder rule's terms; the two agree on every drawn tower, whose O(1)
+# coefficients keep rounding-level elements far below 1e-12 and genuine
+# negatives far above it.
+NEGATIVE_TOL = 1e-12
 
 
 def basis_vector(n, size):
@@ -384,6 +388,11 @@ class TestTowerBitIdentity:
     # n = 99, in the same array block, before reading it
     @example(spec=cs_from_xbar(CSFamily.SU11_BGCS, su11_spec((1.0, 1e300), 1.0), 3e7), eps=1e-12)
     @example(spec=cs_from_xbar(CSFamily.SU11_BGCS, su11_spec((1.0, 1e300), 1.0), 1e7), eps=1e-12)
+    # 301 coefficients in 118 array blocks, each ended by a rescale
+    @example(
+        spec=CSSpec(CSFamily.SU2_PCS, su2_spec((9.563778069449738e-32,), 150.0), 8.41449387484119e93),
+        eps=1e-12,
+    )
     # the running norm overflows at n = 97, in the first array block
     @example(
         spec=cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 4183635935320.0234),
@@ -477,8 +486,18 @@ class TestTowerLog:
                 cs_from_xbar(CSFamily.SU11_BGCS, linear_su11(1.0), 1e6),
                 "tower su11-bgcs (1.0,) label 1: 1235 coefficients, 7 array blocks, 2 rescales",
             ),
+            (
+                # a rescale every other step, each one division of the tower so far
+                CSSpec(
+                    CSFamily.SU2_PCS,
+                    su2_spec((9.563778069449738e-32,), 4999.5),
+                    8.41449387484119e93,
+                ),
+                "tower su2-pcs (9.563778069449738e-32,) label 4999.5: 10000 coefficients, "
+                "4968 array blocks, 4967 rescales",
+            ),
         ],
-        ids=["long", "rescaling"],
+        ids=["long", "rescaling", "rescale-every-other-step"],
     )
     def test_one_debug_record_per_array_tower(self, caplog, spec, message):
         caplog.set_level(logging.DEBUG, logger="polycs.states")

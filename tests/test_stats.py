@@ -16,6 +16,7 @@ from polycs.algebra import (
     su11_spec,
 )
 from polycs.errors import ConvergenceFailure, DegenerateInput
+from polycs import states
 from polycs.hypergeom import pochhammer
 from polycs.states import CSFamily, CSSpec, coefficients, cs_from_xbar
 from polycs.stats import (
@@ -26,6 +27,7 @@ from polycs.stats import (
     mandel_q,
     mean_photon,
     metric_factor,
+    metric_from_norms,
     norm_derivatives,
     photon_distribution,
     stat_record,
@@ -390,6 +392,36 @@ class TestStatRecord:
             with pytest.raises(ConvergenceFailure) as info:
                 route(spec)
             assert str(info.value) == f"N'**2 underflows at {where}"
+
+    def test_refused_series_builds_no_tower(self, monkeypatch):
+        # the tower's running norm overflows at n = 1, and the norm series does
+        # not settle: the record reports the series' error, built no tower
+        spec = CSSpec(CSFamily.SU11_BGCS, linear_su11(0.25), 1.3e154)
+        with pytest.raises(ConvergenceFailure, match="running norm of the tower overflows"):
+            coefficients(spec)
+        with pytest.raises(ConvergenceFailure) as series:
+            norm_derivatives(spec)
+        towers = []
+        monkeypatch.setattr(states, "_tower", lambda *args: towers.append(args))
+        with pytest.raises(ConvergenceFailure) as record:
+            stat_record(spec)
+        assert str(record.value) == str(series.value)
+        assert towers == []
+
+    def test_metric_past_the_square(self):
+        # (N'/N)**2 leaves float range; the metric takes its ratio form
+        deformation = su2_spec((0.054264975744206884, 6.13109639361356e-285), 0.5)
+        spec = CSSpec(CSFamily.SU2_PCS, deformation, 0.004154790084800588)
+        metric = stat_record(spec).metric
+        assert math.isfinite(metric) and metric == pytest.approx(8.85076185343e282, rel=1e-11)
+        assert metric_factor(spec) == metric
+
+    def test_metric_without_a_finite_form_is_typed(self):
+        with pytest.raises(ConvergenceFailure) as info:
+            metric_from_norms(1e300, 1.0, 1e300, 1e300)
+        assert str(info.value) == (
+            "metric factor not finite at xbar=1e+300: (1.0, 1e+300, 1e+300)"
+        )
 
     def test_zero_amplitude_nan_correlation(self):
         spec = CSSpec(CSFamily.SU2_PCS, linear_su2(1.0), 0.0)
