@@ -61,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{side}: exit codes {codes}, wall min {min(walls):.3f} s, "
             f"median {statistics.median(walls):.3f} s"
         )
-    same = {side: {(code, out) for code, out, _ in runs[side]} for side in SIDES}
-    if same["parent"] != same["change"]:
+    outcomes = {side: {(code, out) for code, out, _ in runs[side]} for side in SIDES}
+    if outcomes["parent"] != outcomes["change"]:
         print("the two sides' stdout or exit codes differ")
         return 1
     print("stdout and exit codes match")
